@@ -201,16 +201,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, a.data, 0.0), _parents=(a,), _vjp=vjp)
 
 
-def hinge(a: Tensor) -> Tensor:
-    """max(0, x), the margin-loss clamp; subgradient 0 at the kink."""
-    mask = a.data > 0.0
-
-    def vjp(g: np.ndarray):
-        return (g * mask,)
-
-    return Tensor(np.where(mask, a.data, 0.0), _parents=(a,), _vjp=vjp)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     out_data = np.empty_like(x)

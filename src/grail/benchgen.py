@@ -49,7 +49,7 @@ def _capped_neighborhood(
     for _ in range(hops):
         nxt: list[int] = []
         for node in frontier:
-            nbrs = [n for n in g.undirected_index.get(node, []) if n not in visited]
+            nbrs = [n for n in g.neighbors[node] if n not in visited]
             if not nbrs:
                 continue
             if len(nbrs) > cap:

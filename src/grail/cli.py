@@ -143,6 +143,7 @@ def _parse_edges_against(path: str, g: KnowledgeGraph, what: str) -> list[tuple[
     """Read a triple file and resolve names in an existing graph's vocabulary."""
     edges = []
     for lineno, line in enumerate(_read_file(path).split("\n"), start=1):
+        line = line.removesuffix("\r")
         if line == "":
             continue
         parts = line.split("\t")
@@ -288,7 +289,6 @@ def cmd_eval(args) -> int:
         test_edges,
         num_negatives=int(cfg["eval_negatives"]),
         seed=seed,
-        threads=args.threads,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     write_report(report, os.path.join(args.out_dir, "report.txt"))
@@ -433,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="held-out test triples (removed before scoring)")
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--out-dir", required=True, help="directory for report and score files")
-    p.add_argument("--threads", type=int, default=1, help="scoring worker threads")
     p.add_argument("--aux-features", default=None, help="entity<TAB>f1,f2,... feature file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_eval)

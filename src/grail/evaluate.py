@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,18 +209,14 @@ def evaluate(
     test_edges: list[tuple[int, int, int]],
     num_negatives: int = 50,
     seed: int = 0,
-    threads: int = 1,
 ) -> EvalReport:
     """Score held-out test edges against the ind-test graph minus those edges.
 
     AUC-PR uses one sampled corruption per positive; Hits@10 ranks each
     positive among num_negatives corruptions.  All negatives are drawn up
     front from seeded streams, so results are reproducible bit-for-bit for a
-    given seed, with any threads count (thread workers only run the pure
-    scoring functions; reduction order is fixed by test index).
+    given seed.  A scorer's forbidden-edge set lives only for this call.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if not test_edges:
         raise ValueError("no test edges to evaluate")
     msg_graph = without_triples(g_ind_test, test_edges)
@@ -229,6 +224,13 @@ def evaluate(
     skipped = len(test_edges) - len(scoreable)
     if not scoreable:
         raise ValueError("all test edges are self-loops; nothing can be scored")
+    rng_auc = np.random.default_rng([seed, _AUC_STREAM])
+    rng_rank = np.random.default_rng([seed, _RANK_STREAM])
+    auc_negs = [sample_negative(msg_graph, trip, rng_auc) for trip in scoreable]
+    rank_negs = [
+        [sample_negative(msg_graph, trip, rng_rank) for _ in range(num_negatives)]
+        for trip in scoreable
+    ]
     if hasattr(scorer, "set_forbidden_edges"):
         names = {
             (
@@ -239,39 +241,27 @@ def evaluate(
             for h, r, t in test_edges
         }
         scorer.set_forbidden_edges(names)
-    if hasattr(scorer, "prepare"):
-        scorer.prepare(msg_graph)
+    try:
+        if hasattr(scorer, "prepare"):
+            scorer.prepare(msg_graph)
+        results = [
+            (
+                scorer(msg_graph, *trip),
+                scorer(msg_graph, *auc_neg),
+                [scorer(msg_graph, *nt) for nt in negs],
+            )
+            for trip, auc_neg, negs in zip(scoreable, auc_negs, rank_negs)
+        ]
+    finally:
+        if hasattr(scorer, "set_forbidden_edges"):
+            scorer.set_forbidden_edges(None)
 
-    rng_auc = np.random.default_rng([seed, _AUC_STREAM])
-    rng_rank = np.random.default_rng([seed, _RANK_STREAM])
-    auc_negs = [sample_negative(msg_graph, trip, rng_auc) for trip in scoreable]
-    rank_negs = [
-        [sample_negative(msg_graph, trip, rng_rank) for _ in range(num_negatives)]
-        for trip in scoreable
-    ]
-
-    def score_one(i: int):
-        trip = scoreable[i]
-        pos = scorer(msg_graph, *trip)
-        auc_neg = scorer(msg_graph, *auc_negs[i])
-        negs = [scorer(msg_graph, *nt) for nt in rank_negs[i]]
-        return pos, auc_neg, negs
-
-    results: list[tuple[float, float, list[float]]] = [None] * len(scoreable)  # type: ignore
-    if threads == 1:
-        for i in range(len(scoreable)):
-            results[i] = score_one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, res in enumerate(pool.map(score_one, range(len(scoreable)))):
-                results[i] = res
-
-    pos_scores = [r[0] for r in results]
-    neg_scores = [r[1] for r in results]
+    pos_scores = [res[0] for res in results]
+    neg_scores = [res[1] for res in results]
     records = []
     hits = 0
-    for i, trip in enumerate(scoreable):
-        rank = rank_from_scores(results[i][0], results[i][2])
+    for trip, (pos, _, negs) in zip(scoreable, results):
+        rank = rank_from_scores(pos, negs)
         if rank <= 10:
             hits += 1
         h, r, t = trip
@@ -281,24 +271,21 @@ def evaluate(
                 "rel": g_ind_test.relation_names[r],
                 "tail": g_ind_test.entity_names[t],
                 "label": 1,
-                "score": results[i][0],
+                "score": pos,
                 "rank": rank,
             }
         )
-    for i, trip in enumerate(auc_negs):
-        h, r, t = trip
+    for (h, r, t), neg in zip(auc_negs, neg_scores):
         records.append(
             {
                 "head": msg_graph.entity_names[h],
                 "rel": msg_graph.relation_names[r],
                 "tail": msg_graph.entity_names[t],
                 "label": 0,
-                "score": results[i][1],
+                "score": neg,
                 "rank": None,
             }
         )
-    if hasattr(scorer, "set_forbidden_edges"):
-        scorer.set_forbidden_edges(None)
     return EvalReport(
         auc_pr=auc_pr(pos_scores, neg_scores),
         hits_at_10=hits / len(scoreable),

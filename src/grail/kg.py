@@ -20,20 +20,15 @@ class KnowledgeGraph:
     duplicates_dropped: int = 0
     entity_ids: dict[str, int] = field(default_factory=dict)
     relation_ids: dict[str, int] = field(default_factory=dict)
-    out_index: dict[tuple[int, int], list[int]] = field(default_factory=dict)
-    in_index: dict[tuple[int, int], list[int]] = field(default_factory=dict)
-    undirected_index: dict[int, list[int]] = field(default_factory=dict)
+    out_edges: list[list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
+    neighbors: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entity_ids:
             self.entity_ids = {n: i for i, n in enumerate(self.entity_names)}
         if not self.relation_ids:
             self.relation_ids = {n: i for i, n in enumerate(self.relation_names)}
-        if not self.out_index and not self.in_index and not self.undirected_index:
-            out, inn, und = build_indices(self.triples)
-            self.out_index = out
-            self.in_index = inn
-            self.undirected_index = und
+        self.out_edges, self.neighbors = build_indices(self.num_entities, self.triples)
 
     @property
     def num_entities(self) -> int:
@@ -53,23 +48,18 @@ class KnowledgeGraph:
 
 
 def build_indices(
-    triples: list[tuple[int, int, int]],
-) -> tuple[dict[tuple[int, int], list[int]], dict[tuple[int, int], list[int]], dict[int, list[int]]]:
-    """Build out/in per-(node, relation) indices and the undirected neighbor index."""
-    out: dict[tuple[int, int], list[int]] = {}
-    inn: dict[tuple[int, int], list[int]] = {}
-    und: dict[int, set[int]] = {}
+    num_entities: int, triples: list[tuple[int, int, int]]
+) -> tuple[list[list[tuple[int, int]]], list[list[int]]]:
+    """Per-entity adjacency: sorted (relation, tail) out-edges and sorted undirected neighbors."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(num_entities)]
+    und: list[set[int]] = [set() for _ in range(num_entities)]
     for h, r, t in triples:
-        out.setdefault((h, r), []).append(t)
-        inn.setdefault((t, r), []).append(h)
-        und.setdefault(h, set()).add(t)
-        und.setdefault(t, set()).add(h)
-    for v in out.values():
-        v.sort()
-    for v in inn.values():
-        v.sort()
-    und_sorted = {k: sorted(v) for k, v in und.items()}
-    return out, inn, und_sorted
+        out[h].append((r, t))
+        und[h].add(t)
+        und[t].add(h)
+    for edges in out:
+        edges.sort()
+    return out, [sorted(n) for n in und]
 
 
 def parse_triples(text: str) -> tuple[list[str], list[str], list[tuple[int, int, int]], int]:
@@ -77,6 +67,7 @@ def parse_triples(text: str) -> tuple[list[str], list[str], list[tuple[int, int,
 
     Ids are assigned in first-appearance order (heads before tails within a
     line).  Exact duplicate triples after id mapping are dropped and counted.
+    A trailing carriage return (CRLF line ending) is stripped from each line.
     """
     entity_names: list[str] = []
     entity_ids: dict[str, int] = {}
@@ -103,6 +94,7 @@ def parse_triples(text: str) -> tuple[list[str], list[str], list[tuple[int, int,
         return i
 
     for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
         if line == "":
             continue
         parts = line.split("\t")
@@ -178,14 +170,7 @@ def out_neighbors(g: KnowledgeGraph, node: int, rel: int) -> list[int]:
     """Sorted tails t of edges (node, rel, t)."""
     g.check_entity(node)
     g.check_relation(rel)
-    return list(g.out_index.get((node, rel), []))
-
-
-def in_neighbors(g: KnowledgeGraph, node: int, rel: int) -> list[int]:
-    """Sorted heads h of edges (h, rel, node)."""
-    g.check_entity(node)
-    g.check_relation(rel)
-    return list(g.in_index.get((node, rel), []))
+    return [t for r, t in g.out_edges[node] if r == rel]
 
 
 def khop_nodes(g: KnowledgeGraph, node: int, k: int) -> set[int]:
@@ -199,7 +184,7 @@ def khop_nodes(g: KnowledgeGraph, node: int, k: int) -> set[int]:
         cur, d = frontier.popleft()
         if d == k:
             continue
-        for nxt in g.undirected_index.get(cur, []):
+        for nxt in g.neighbors[cur]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append((nxt, d + 1))
@@ -211,7 +196,4 @@ def graphs_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
         a.entity_names == b.entity_names
         and a.relation_names == b.relation_names
         and a.triples == b.triples
-        and a.out_index == b.out_index
-        and a.in_index == b.in_index
-        and a.undirected_index == b.undirected_index
     )

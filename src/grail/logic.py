@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .kg import KnowledgeGraph, from_parts, to_lines
+from .kg import KnowledgeGraph, from_parts, out_neighbors, to_lines
 from .model import GnnConfig, GnnParams, LayerParams, layer_forward
 from .subgraph import LabeledSubgraph
 
@@ -69,7 +69,7 @@ def rule_satisfied(
     def dfs(node: int, i: int) -> list[int] | None:
         if i == k:
             return [] if node == v else None
-        for nxt in g.out_index.get((node, rule.body[i]), ()):
+        for nxt in out_neighbors(g, node, rule.body[i]):
             rest = dfs(nxt, i + 1)
             if rest is not None:
                 return [nxt] + rest
@@ -90,7 +90,7 @@ def count_walks(g: KnowledgeGraph, rule: PathRule, u: int, v: int) -> int:
     for r in rule.body:
         nxt: dict[int, int] = {}
         for node, c in counts.items():
-            for t in g.out_index.get((node, r), ()):
+            for t in out_neighbors(g, node, r):
                 nxt[t] = nxt.get(t, 0) + c
         counts = nxt
         if not counts:
@@ -106,9 +106,7 @@ def count_satisfied(g: KnowledgeGraph, rules: list[PathRule], u: int, v: int) ->
     return sum(1 for rule in rules if rule_satisfied(g, rule, u, v)[0])
 
 
-def construct_rule_params(
-    rule: PathRule, num_relations: int, k_layers: int | None = None
-) -> tuple[GnnParams, GnnConfig]:
+def construct_rule_params(rule: PathRule, num_relations: int) -> tuple[GnnParams, GnnConfig]:
     """Hand-set one-dimensional parameters that recognize exactly this rule.
 
     Layer l passes a message along an edge iff the edge relation equals
@@ -125,13 +123,8 @@ def construct_rule_params(
         raise ValueError(f"num_relations must be >= 1, got {num_relations}")
     if rule.head >= num_relations or any(r >= num_relations for r in rule.body):
         raise ValueError("rule uses relation ids outside the vocabulary")
-    k = len(rule.body)
-    if k_layers is None:
-        k_layers = k
-    if k > k_layers:
-        raise ValueError(f"rule body length {k} exceeds the configured {k_layers} layers")
     cfg = GnnConfig(
-        num_layers=k,
+        num_layers=len(rule.body),
         hidden_dim=1,
         num_bases=1,
         attention_enabled=True,

@@ -57,7 +57,7 @@ def _bfs_without(adj: list[set[int]], start: int, removed: int) -> list[int]:
     q = deque([start])
     while q:
         cur = q.popleft()
-        for nxt in sorted(adj[cur]):
+        for nxt in adj[cur]:
             if nxt == removed or dist[nxt] != UNREACHABLE:
                 continue
             dist[nxt] = dist[cur] + 1
@@ -99,31 +99,25 @@ def extract_enclosing(
 
     nu = khop_nodes(g, u, k)
     nv = khop_nodes(g, v, k)
-    if mode == "full_khop":
-        keep = set(nu | nv)
-    else:
-        keep = (nu & nv) | {u, v}
-        while True:
-            nodes_now = sorted(keep)
-            pos = {n: i for i, n in enumerate(nodes_now)}
-            local_edges = _induced_edges(g, nodes_now, pos)
-            adj = _undirected_adjacency(len(nodes_now), local_edges)
-            du = _bfs_without(adj, pos[u], pos[v])
-            dv = _bfs_without(adj, pos[v], pos[u])
-            pruned = set()
-            for n in nodes_now:
-                if n in (u, v):
-                    continue
-                a, b = du[pos[n]], dv[pos[n]]
-                if a == UNREACHABLE or b == UNREACHABLE or a + b > k + 1:
-                    pruned.add(n)
-            if not pruned:
-                break
-            keep -= pruned
+    keep = nu | nv if mode == "full_khop" else (nu & nv) | {u, v}
+    while True:
+        nodes = [u, v] + sorted(keep - {u, v})
+        local_index = {n: i for i, n in enumerate(nodes)}
+        edges = _induced_edges(g, local_index)
+        if mode == "full_khop":
+            break
+        adj = _undirected_adjacency(len(nodes), edges)
+        du = _bfs_without(adj, 0, 1)
+        dv = _bfs_without(adj, 1, 0)
+        pruned = {
+            n
+            for i, n in enumerate(nodes[2:], start=2)
+            if du[i] == UNREACHABLE or dv[i] == UNREACHABLE or du[i] + dv[i] > k + 1
+        }
+        if not pruned:
+            break
+        keep -= pruned
 
-    nodes = [u, v] + sorted(n for n in keep if n not in (u, v))
-    local_index = {n: i for i, n in enumerate(nodes)}
-    edges = _induced_edges(g, nodes, local_index)
     target = (local_index[u], r_t, local_index[v])
     try:
         pos_t = edges.index(target)
@@ -140,16 +134,14 @@ def extract_enclosing(
     )
 
 
-def _induced_edges(
-    g: KnowledgeGraph, nodes: list[int], local_index: dict[int, int]
-) -> list[tuple[int, int, int]]:
-    node_set = set(nodes)
-    edges = []
-    for h in nodes:
-        for r in range(g.num_relations):
-            for t in g.out_index.get((h, r), ()):
-                if t in node_set:
-                    edges.append((local_index[h], r, local_index[t]))
+def _induced_edges(g: KnowledgeGraph, local_index: dict[int, int]) -> list[tuple[int, int, int]]:
+    """All graph edges between the given nodes, as sorted local-index triples."""
+    edges = [
+        (i, r, local_index[t])
+        for h, i in local_index.items()
+        for r, t in g.out_edges[h]
+        if t in local_index
+    ]
     edges.sort()
     return edges
 

@@ -25,7 +25,6 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "Checkpoint",
-    "sample_negative",
     "hinge_loss",
     "adam_step",
     "clip_gradients",
@@ -77,7 +76,7 @@ class TrainConfig:
 def hinge_loss(pos_score: Tensor, neg_score: Tensor, margin: float) -> Tensor:
     """max(0, neg - pos + margin)."""
     diff = ad.add(neg_score, ad.scale(pos_score, -1.0))
-    return ad.hinge(ad.add(diff, ad.constant(np.float64(margin))))
+    return ad.relu(ad.add(diff, ad.constant(np.float64(margin))))
 
 
 @dataclass
@@ -331,7 +330,7 @@ def train(
 
     Per positive, a corrupted negative is drawn and both candidate edges are
     scored on their extracted subgraphs with per-layer edge dropout; the batch
-    loss is the sum of hinge terms.  Every eval_every epochs (and on the final
+    loss is the sum of `hinge_loss` terms.  Every eval_every epochs (and on the final
     epoch) validation AUC-PR is computed against fixed, seed-derived
     corruptions of valid_triples, and the best-scoring parameters are kept.
 

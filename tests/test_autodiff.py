@@ -10,7 +10,6 @@ from grail.autodiff import (
     concat,
     constant,
     grad_check,
-    hinge,
     matmul,
     mean_rows,
     mul,
@@ -86,18 +85,16 @@ def test_mul_shape_error():
 
 def test_scale_relu_hinge_sigmoid():
     rng = np.random.default_rng(3)
-    # offset away from 0 so the relu/hinge kinks stay out of the fd window
+    # offset away from 0 so the relu kink stays out of the fd window
     a = parameter(rng.standard_normal((4, 3)) + 0.5)
     assert grad_check(lambda: sum_all(scale(a, -2.5)), [a]) < 1e-6
     assert grad_check(lambda: sum_all(relu(a)), [a]) < 1e-6
-    assert grad_check(lambda: sum_all(hinge(a)), [a]) < 1e-6
     assert grad_check(lambda: sum_all(sigmoid(a)), [a]) < 1e-6
 
 
 def test_relu_hinge_values():
     a = constant(np.array([[-2.0, 0.0, 3.0]]))
     assert np.array_equal(relu(a).data, [[0.0, 0.0, 3.0]])
-    assert np.array_equal(hinge(a).data, [[0.0, 0.0, 3.0]])
     # subgradient 0 exactly at the kink
     b = parameter(np.array([[0.0]]))
     sum_all(relu(b)).backward()

@@ -102,20 +102,6 @@ def test_eval_outputs(workdir, tmp_path):
         assert os.path.getsize(os.path.join(out, name)) > 0
 
 
-def test_eval_threads_match(workdir, tmp_path):
-    args = ["eval", "--checkpoint", workdir["ck"],
-            "--graph", os.path.join(workdir["bench"], "ind_test_graph.txt"),
-            "--test", os.path.join(workdir["bench"], "test.txt"),
-            "--config", workdir["cfg"]]
-    d1, d2 = str(tmp_path / "t1"), str(tmp_path / "t2")
-    assert main(args + ["--out-dir", d1, "--threads", "1"]) == 0
-    assert main(args + ["--out-dir", d2, "--threads", "3"]) == 0
-    assert open(os.path.join(d1, "report.txt")).read() == \
-        open(os.path.join(d2, "report.txt")).read()
-    assert open(os.path.join(d1, "scores.tsv")).read() == \
-        open(os.path.join(d2, "scores.tsv")).read()
-
-
 def test_train_resume_cli_bit_exact(workdir, tmp_path):
     bench = workdir["bench"]
     cfg4 = str(tmp_path / "four.cfg")

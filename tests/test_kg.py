@@ -7,7 +7,6 @@ from grail.kg import (
     KnowledgeGraph,
     from_parts,
     graphs_equal,
-    in_neighbors,
     khop_nodes,
     load_triples,
     load_triples_file,
@@ -45,6 +44,11 @@ def test_duplicates_dropped_and_counted():
 def test_blank_lines_skipped():
     g = load_triples("\na\tr\tb\n\n\nb\tr\tc\n\n")
     assert len(g.triples) == 2
+
+
+def test_crlf_line_endings_stripped():
+    g = load_triples("a\tr\tb\r\nb\tr\tc\r\n")
+    assert g.entity_names == ["a", "b", "c"]
 
 
 def test_malformed_line_reports_lineno():
@@ -95,15 +99,16 @@ def test_without_triples_keeps_vocab():
     assert g2.entity_names == g.entity_names
     assert g2.relation_names == g.relation_names
     assert g2.triples == [(1, 1, 2), (0, 0, 2)]
-    assert (0, 0) in g2.out_index  # rebuilt indices reflect the removal
-    assert g2.out_index[(0, 0)] == [2]
+    # rebuilt adjacency reflects the removal
+    assert g2.out_edges == [[(0, 2)], [(1, 2)], []]
+    assert g2.neighbors == [[2], [2], [0, 1]]
 
 
 def test_neighbor_queries_sorted():
     g = load_triples("a\tr\tc\na\tr\tb\nd\tr\tb\n")
     a, b, c, d = (g.entity_ids[x] for x in "abcd")
     assert out_neighbors(g, a, 0) == sorted([b, c])
-    assert in_neighbors(g, b, 0) == sorted([a, d])
+    assert out_neighbors(g, d, 0) == [b]
     assert out_neighbors(g, b, 0) == []
 
 
@@ -112,7 +117,7 @@ def test_neighbor_queries_validate():
     with pytest.raises(ValueError, match="invalid entity id"):
         out_neighbors(g, 99, 0)
     with pytest.raises(ValueError, match="invalid relation id"):
-        in_neighbors(g, 0, 99)
+        out_neighbors(g, 0, 99)
 
 
 def test_khop_validates():
@@ -148,14 +153,16 @@ def test_graphs_equal_detects_difference():
 
 def test_indices_cover_all_triples():
     rng = np.random.default_rng(1)
-    g = random_kg(rng, 10, 3, 40)
-    n_out = sum(len(v) for v in g.out_index.values())
-    n_in = sum(len(v) for v in g.in_index.values())
-    assert n_out == len(g.triples) == n_in
+    g = random_kg(rng, 10, 3, 40, allow_self_loops=True)
+    indexed = [(h, r, t) for h, edges in enumerate(g.out_edges) for r, t in edges]
+    assert sorted(indexed) == sorted(g.triples)  # each triple exactly once
+    assert all(edges == sorted(edges) for edges in g.out_edges)
+    for n in range(g.num_entities):
+        touching = {t for h, _, t in g.triples if h == n} | {h for h, _, t in g.triples if t == n}
+        assert g.neighbors[n] == sorted(touching)
 
 
 def test_direct_construction_builds_indices():
-    g = KnowledgeGraph(["a", "b"], ["r"], [(0, 0, 1)])
-    assert g.out_index == {(0, 0): [1]}
-    assert g.in_index == {(1, 0): [0]}
-    assert g.undirected_index == {0: [1], 1: [0]}
+    g = KnowledgeGraph(["a", "b", "c"], ["r"], [(0, 0, 1)])
+    assert g.out_edges == [[(0, 1)], [], []]
+    assert g.neighbors == [[1], [0], []]

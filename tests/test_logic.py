@@ -103,8 +103,6 @@ def test_construct_rule_params_shapes_and_errors():
     assert params.attn_rel_emb.data.tolist() == [[0.0], [1.0], [2.0]]
     with pytest.raises(ValueError, match="outside the vocabulary"):
         construct_rule_params(rule, num_relations=2)
-    with pytest.raises(ValueError, match="exceeds the configured"):
-        construct_rule_params(rule, num_relations=3, k_layers=1)
     with pytest.raises(ValueError, match="num_relations"):
         construct_rule_params(rule, num_relations=0)
 

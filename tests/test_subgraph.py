@@ -65,15 +65,16 @@ def test_canonical_node_order():
 
 def test_induced_edges_complete():
     rng = np.random.default_rng(3)
-    for _ in range(40):
-        g = random_kg(rng, 9, 3, 25, allow_self_loops=True)
+    for num_relations in [3, 60] * 20:
+        g = random_kg(rng, 9, num_relations, 25, allow_self_loops=True)
         u, v = (int(x) for x in rng.choice(9, size=2, replace=False))
-        sub = extract_enclosing(g, u, v, 0, 2, mode="full_khop")
-        want = set(induced_edges_oracle(g, sub.nodes))
-        got = set(sub.edges)
-        # at most the appended candidate edge beyond the induced set
-        assert got - want <= {sub.target}
-        assert want <= got
+        r_t = int(rng.integers(num_relations))
+        for mode in ("full_khop", "enclosing"):
+            sub = extract_enclosing(g, u, v, r_t, 2, mode=mode)
+            want = induced_edges_oracle(g, sub.nodes)
+            if sub.target not in want:  # the candidate edge is appended last
+                want.append(sub.target)
+            assert sub.edges == want
 
 
 def test_target_edge_present_exactly_once():
