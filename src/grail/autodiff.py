@@ -4,16 +4,36 @@ Every operation records its parents and a vector-Jacobian product on the
 output node.  backward() walks nodes in reverse construction order (which is
 a topological order) and accumulates adjoints, so fan-out is handled by
 summation and repeated backward calls add another full pass into .grad.
+Inside no_grad() operations record nothing, for scoring without backward.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 _SERIAL = itertools.count()
+# False inside no_grad(); a context variable, so other threads keep recording
+_RECORDING: ContextVar[bool] = ContextVar("grail_autodiff_recording", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no backward graph: tensors made inside record no parents and no vjp.
+
+    For scoring that never calls backward (validation, evaluation).  Leaves
+    made with requires_grad=True still require it.  The previous mode is
+    restored on exit, so the context nests.
+    """
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
 
 
 class Tensor:
@@ -26,6 +46,8 @@ class Tensor:
         _parents: tuple["Tensor", ...] = (),
         _vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None,
     ) -> None:
+        if not _RECORDING.get():
+            _parents, _vjp = (), None
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self._grad: np.ndarray | None = None
@@ -232,19 +254,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return Tensor(out_data, _parents=tuple(parts), _vjp=vjp)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """(N, d) -> (1, d) mean over rows."""
-    if a.data.ndim != 2 or a.data.shape[0] == 0:
-        raise ValueError(f"mean_rows: need a nonempty 2-D input, got shape {a.data.shape}")
-    n = a.data.shape[0]
-    out_data = np.mean(a.data, axis=0, keepdims=True)
-
-    def vjp(g: np.ndarray):
-        return (np.repeat(g / n, n, axis=0),)
-
-    return Tensor(out_data, _parents=(a,), _vjp=vjp)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out_data = np.sum(a.data)
 
@@ -273,8 +282,61 @@ def slice_rows(a: Tensor, indices) -> Tensor:
     return Tensor(out_data, _parents=(a,), _vjp=vjp)
 
 
+def segment_sum(a: Tensor, index, n: int) -> Tensor:
+    """(E, d) -> (n, d): row e of a is added into output row index[e].
+
+    The sparse form of multiplying by a 0/1 (n x E) scatter matrix: output
+    rows that no index names stay zero.  Backward gathers the adjoint rows.
+    """
+    if a.data.ndim != 2:
+        raise ValueError(f"segment_sum: need 2-D input, got shape {a.data.shape}")
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.shape != (a.data.shape[0],):
+        raise ValueError(f"segment_sum: index shape {idx.shape} != ({a.data.shape[0]},)")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"segment_sum: index out of range for {n} segments")
+    out_data = np.zeros((n, a.data.shape[1]))
+    np.add.at(out_data, idx, a.data)
+
+    def vjp(g: np.ndarray):
+        return (g[idx],)
+
+    return Tensor(out_data, _parents=(a,), _vjp=vjp)
+
+
+def basis_matmul(a: Tensor, coef: Tensor, bases: Sequence[Tensor]) -> Tensor:
+    """Row e of a times its own mixture of bases: a[e] @ sum_b coef[e, b] * bases[b].
+
+    a is (E, d_in), coef (E, B) and each of the B bases (d_in, d).  The
+    bases are stacked and applied in one product, so the op costs the same
+    for any number of bases.
+    """
+    if not bases:
+        raise ValueError("basis_matmul: empty basis list")
+    stacked = np.stack([b.data for b in bases])  # (B, d_in, d)
+    num_bases, d_in, d = stacked.shape
+    num_rows = a.data.shape[0]
+    if a.data.shape != (num_rows, d_in) or coef.data.shape != (num_rows, num_bases):
+        raise ValueError(
+            f"basis_matmul: incompatible shapes {a.data.shape}, {coef.data.shape}, "
+            f"{num_bases} x {(d_in, d)}"
+        )
+    flat = stacked.transpose(1, 0, 2).reshape(d_in, num_bases * d)  # columns [b, d]
+    proj = (a.data @ flat).reshape(num_rows, num_bases, d)
+    out_data = np.einsum("eb,ebd->ed", coef.data, proj)
+
+    def vjp(g: np.ndarray):
+        g_proj = (coef.data[:, :, None] * g[:, None, :]).reshape(num_rows, num_bases * d)
+        g_a = g_proj @ flat.T
+        g_coef = np.einsum("ed,ebd->eb", g, proj)
+        g_flat = (a.data.T @ g_proj).reshape(d_in, num_bases, d)
+        return (g_a, g_coef) + tuple(g_flat[:, b, :] for b in range(num_bases))
+
+    return Tensor(out_data, _parents=(a, coef, *bases), _vjp=vjp)
+
+
 def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Multiply by a constant 0/1 mask (dropout); the mask is data, not a tape node."""
+    """Multiply by constant data, such as a 0/1 dropout mask; the data is not a tape node."""
     mask = np.asarray(mask, dtype=np.float64)
     try:
         ok = np.broadcast_shapes(a.data.shape, mask.shape) == a.data.shape

@@ -6,9 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kg import KnowledgeGraph, without_triples
+from . import autodiff as ad
+from .kg import KnowledgeGraph, atomic_open, without_triples
 from .model import GnnConfig, GnnParams, score_triplet
-from .subgraph import LabeledSubgraph, extract_enclosing, label_nodes
+from .subgraph import extract_enclosing, label_nodes
 
 
 def auc_pr(pos_scores, neg_scores) -> float:
@@ -109,7 +110,7 @@ class GrailScorer:
     Relations are matched by name against the training vocabulary, so the
     entity vocabulary of the scored graph is free to be disjoint from
     training (the inductive setting).  Scoring extracts the candidate's
-    subgraph, labels it, and runs the model with dropout off.
+    subgraph, labels it, and runs the model with dropout off and no tape.
     """
 
     def __init__(
@@ -174,7 +175,8 @@ class GrailScorer:
         sub.target = (sub.target[0], rel_map[sub.target[1]], sub.target[2])
         aux = self._aux_maps.get(tuple(g.entity_names)) if self.aux_features is not None else None
         sub = label_nodes(sub, self.labeling, aux)
-        return score_triplet(sub, self.params, self.cfg).item()
+        with ad.no_grad():
+            return score_triplet(sub, self.params, self.cfg).item()
 
 
 @dataclass
@@ -298,12 +300,12 @@ def evaluate(
 
 
 def write_report(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write(report.to_text())
 
 
 def write_triplet_csv(report: EvalReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write("head,rel,tail,label,score,rank\n")
         for rec in report.records:
             rank = "" if rec["rank"] is None else str(rec["rank"])
@@ -315,7 +317,7 @@ def write_triplet_csv(report: EvalReport, path: str) -> None:
 def write_scores_file(report: EvalReport, path: str) -> None:
     """Per-triplet scores as head<TAB>rel<TAB>tail<TAB>score, first score wins on repeats."""
     seen = set()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         for rec in report.records:
             key = (rec["head"], rec["rel"], rec["tail"])
             if key in seen:
@@ -326,7 +328,7 @@ def write_scores_file(report: EvalReport, path: str) -> None:
 
 def write_labels_file(report: EvalReport, path: str) -> None:
     seen = set()
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         for rec in report.records:
             key = (rec["head"], rec["rel"], rec["tail"])
             if key in seen:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import secrets
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import IO, Iterator
 
 
 @dataclass
@@ -11,7 +15,8 @@ class KnowledgeGraph:
     """Immutable-by-convention store of (head, relation, tail) triples.
 
     Entities and relations are interned to dense integer ids in first-appearance
-    order; every downstream module works on ids only.
+    order; every downstream module works on ids only.  Construction rejects a
+    triple whose ids fall outside the vocabularies.
     """
 
     entity_names: list[str]
@@ -28,7 +33,13 @@ class KnowledgeGraph:
             self.entity_ids = {n: i for i, n in enumerate(self.entity_names)}
         if not self.relation_ids:
             self.relation_ids = {n: i for i, n in enumerate(self.relation_names)}
-        self.out_edges, self.neighbors = build_indices(self.num_entities, self.triples)
+        n, m = self.num_entities, self.num_relations
+        for h, r, t in self.triples:
+            if not (0 <= h < n and 0 <= t < n):
+                raise ValueError(f"triple ({h},{r},{t}) has entity id out of range {n}")
+            if not (0 <= r < m):
+                raise ValueError(f"triple ({h},{r},{t}) has relation id out of range {m}")
+        self.out_edges, self.neighbors = build_indices(n, self.triples)
 
     @property
     def num_entities(self) -> int:
@@ -131,8 +142,32 @@ def to_lines(g: KnowledgeGraph) -> str:
     return "\n".join(rows) + "\n"
 
 
+@contextmanager
+def atomic_open(path: str, binary: bool = False) -> Iterator[IO]:
+    """Write path all at once or not at all.
+
+    Yields a new temporary file in path's directory.  When the block
+    finishes, the file is flushed to disk and renamed over path with
+    os.replace; if the block raises, the file is deleted and path keeps its
+    previous contents.  Text mode writes UTF-8 with "\\n" line endings.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+    text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, "xb" if binary else "x", **text) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_triples_file(g: KnowledgeGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write(to_lines(g))
 
 
@@ -145,12 +180,7 @@ def from_parts(
     seen: set[tuple[int, int, int]] = set()
     kept: list[tuple[int, int, int]] = []
     dropped = 0
-    n, m = len(entity_names), len(relation_names)
     for h, r, t in triples:
-        if not (0 <= h < n and 0 <= t < n):
-            raise ValueError(f"triple ({h},{r},{t}) has entity id out of range {n}")
-        if not (0 <= r < m):
-            raise ValueError(f"triple ({h},{r},{t}) has relation id out of range {m}")
         if (h, r, t) in seen:
             dropped += 1
             continue

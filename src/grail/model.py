@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,50 +164,72 @@ def _snap_alpha(alpha: Tensor) -> Tensor:
     return ad.constant(data)
 
 
-def _attention_batch(
+@dataclass
+class SubgraphBatch:
+    """A disjoint union of labeled subgraphs, scored in one pass.
+
+    Member i owns a contiguous block of node rows, starting at the sum of
+    the earlier members' sizes; edges are (head, relation, tail) rows over
+    union node rows, each member's edges in its own order.
+    """
+
+    edges: np.ndarray             # (E, 3) int
+    edge_target_rels: np.ndarray  # (E,) scored relation of the member owning each edge
+    node_member: np.ndarray       # (N,) member of each node row
+    member_sizes: np.ndarray      # (B,) nodes per member
+    u_rows: np.ndarray            # (B,) union row of each member's u
+    v_rows: np.ndarray            # (B,) union row of each member's v
+    target_rels: np.ndarray       # (B,) scored relation per member
+    features: np.ndarray | None   # (N, input_dim); None if any member is unlabeled
+
+    @property
+    def num_nodes(self) -> int:
+        return self.node_member.shape[0]
+
+
+def batch_subgraphs(subs: list[LabeledSubgraph]) -> SubgraphBatch:
+    """Offset and concatenate subgraphs into one disjoint union, in the given order."""
+    if not subs:
+        raise ValueError("need at least one subgraph to batch")
+    sizes = np.array([s.num_nodes for s in subs], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    edge_counts = np.array([len(s.edges) for s in subs], dtype=np.intp)
+    edges = np.array([e for s in subs for e in s.edges], dtype=np.intp).reshape(-1, 3)
+    edge_starts = np.repeat(starts, edge_counts)
+    edges[:, 0] += edge_starts
+    edges[:, 2] += edge_starts
+    targets = np.array([s.target for s in subs], dtype=np.intp)
+    unlabeled = any(s.features is None for s in subs)
+    return SubgraphBatch(
+        edges=edges,
+        edge_target_rels=np.repeat(targets[:, 1], edge_counts),
+        node_member=np.repeat(np.arange(len(subs)), sizes),
+        member_sizes=sizes,
+        u_rows=starts + targets[:, 0],
+        v_rows=starts + targets[:, 2],
+        target_rels=targets[:, 1],
+        features=None if unlabeled else np.concatenate([s.features for s in subs]),
+    )
+
+
+def _attention(
     h_src: Tensor,
     h_dst: Tensor,
-    rels: list[int],
-    r_t: int,
+    rels: np.ndarray,
+    target_rels: np.ndarray,
     lp: LayerParams,
     attn_rel_emb: Tensor,
 ) -> Tensor:
-    num_edges = h_src.data.shape[0]
-    e_r = ad.slice_rows(attn_rel_emb, rels)
-    e_rt_row = ad.slice_rows(attn_rel_emb, [r_t])
-    ones = ad.constant(np.ones((num_edges, 1)))
-    e_rt = ad.matmul(ones, e_rt_row)
-    a_in = ad.concat([h_src, h_dst, e_r, e_rt])
+    """(E, 1) gates from an MLP over [h_src, h_dst, e_r, e_rt], one row per edge."""
+    a_in = ad.concat(
+        [h_src, h_dst, ad.slice_rows(attn_rel_emb, rels), ad.slice_rows(attn_rel_emb, target_rels)]
+    )
     s = ad.relu(ad.add(ad.matmul(a_in, lp.attn_w1), lp.attn_b1))
     return ad.sigmoid(ad.add(ad.matmul(s, lp.attn_w2), lp.attn_b2))
 
 
-def attention_weight(
-    params: GnnParams,
-    cfg: GnnConfig,
-    layer: int,
-    h_s: np.ndarray,
-    h_t: np.ndarray,
-    r: int,
-    r_t: int,
-) -> float:
-    """Gate value in (0, 1) for one edge; exactly 1.0 when attention is disabled."""
-    if not cfg.attention_enabled:
-        return 1.0
-    lp = params.layers[layer]
-    alpha = _attention_batch(
-        ad.constant(np.asarray(h_s, dtype=np.float64).reshape(1, -1)),
-        ad.constant(np.asarray(h_t, dtype=np.float64).reshape(1, -1)),
-        [r],
-        r_t,
-        lp,
-        params.attn_rel_emb,
-    )
-    return alpha.item()
-
-
 def layer_forward(
-    sub: LabeledSubgraph,
+    sub: LabeledSubgraph | SubgraphBatch,
     h_prev: Tensor,
     layer: int,
     params: GnnParams,
@@ -221,47 +243,24 @@ def layer_forward(
     (t, r, s) sends W_r h_s into t); with cfg.aggregate_in_neighbors messages
     flow along edge direction instead (edge (s, r, t) sends into t).
     """
+    batch = sub if isinstance(sub, SubgraphBatch) else batch_subgraphs([sub])
     lp = params.layers[layer]
-    num_nodes = sub.num_nodes
-    d = lp.w_self.data.shape[1]
-    num_bases = len(lp.bases)
-    edges = sub.edges
-    if edges:
-        if cfg.aggregate_in_neighbors:
-            senders = [h for h, _, _ in edges]
-            receivers = [t for _, _, t in edges]
-        else:
-            senders = [t for _, _, t in edges]
-            receivers = [h for h, _, _ in edges]
-        rels = [r for _, r, _ in edges]
-        r_t = sub.target[1]
-        h_src = ad.slice_rows(h_prev, senders)
-        coef_rows = ad.slice_rows(lp.coeffs, rels)
-        msg = None
-        for b in range(num_bases):
-            proj = ad.matmul(h_src, lp.bases[b])
-            pick = np.zeros((num_bases, 1))
-            pick[b, 0] = 1.0
-            coef_col = ad.matmul(coef_rows, ad.constant(pick))
-            term = ad.mul(proj, coef_col)
-            msg = term if msg is None else ad.add(msg, term)
-        if cfg.attention_enabled:
-            h_dst = ad.slice_rows(h_prev, receivers)
-            alpha = _attention_batch(h_src, h_dst, rels, r_t, lp, params.attn_rel_emb)
-            if snap_alpha:
-                alpha = _snap_alpha(alpha)
-            msg = ad.mul(msg, alpha)
-        if dropout_mask is not None:
-            mask = np.asarray(dropout_mask, dtype=np.float64)
-            if mask.shape != (len(edges),):
-                raise ValueError(f"dropout mask shape {mask.shape} != ({len(edges)},)")
-            msg = ad.apply_mask(msg, mask.reshape(-1, 1))
-        scatter = np.zeros((num_nodes, len(edges)))
-        for e, recv in enumerate(receivers):
-            scatter[recv, e] = 1.0
-        agg = ad.matmul(ad.constant(scatter), msg)
-    else:
-        agg = ad.constant(np.zeros((num_nodes, d)))
+    heads, rels, tails = batch.edges.T
+    senders, receivers = (heads, tails) if cfg.aggregate_in_neighbors else (tails, heads)
+    h_src = ad.slice_rows(h_prev, senders)
+    msg = ad.basis_matmul(h_src, ad.slice_rows(lp.coeffs, rels), lp.bases)
+    if cfg.attention_enabled:
+        h_dst = ad.slice_rows(h_prev, receivers)
+        alpha = _attention(h_src, h_dst, rels, batch.edge_target_rels, lp, params.attn_rel_emb)
+        if snap_alpha:
+            alpha = _snap_alpha(alpha)
+        msg = ad.mul(msg, alpha)
+    if dropout_mask is not None:
+        mask = np.asarray(dropout_mask, dtype=np.float64)
+        if mask.shape != (len(rels),):
+            raise ValueError(f"dropout mask shape {mask.shape} != ({len(rels)},)")
+        msg = ad.apply_mask(msg, mask.reshape(-1, 1))
+    agg = ad.segment_sum(msg, receivers, batch.num_nodes)
     return ad.relu(ad.add(ad.matmul(h_prev, lp.w_self), agg))
 
 
@@ -285,38 +284,39 @@ def sample_edge_masks(
 
 
 def score_triplet(
-    sub: LabeledSubgraph,
+    sub: LabeledSubgraph | SubgraphBatch,
     params: GnnParams,
     cfg: GnnConfig,
     dropout_masks: list[np.ndarray] | None = None,
 ) -> Tensor:
-    """Scalar plausibility score of the subgraph's candidate edge.
+    """Plausibility scores of candidate edges, shape (members, 1).
 
-    Readout concatenates [pooled graph, u, v, target-relation embedding]; with
-    jk_enabled the block from every layer is concatenated, otherwise only the
-    final layer's block is used.
+    sub is one labeled subgraph (a batch of one) or a disjoint union from
+    batch_subgraphs; dropout_masks holds one mask per layer over the
+    union's edges.  Each member's readout concatenates [mean of its own
+    node states, u, v, target-relation embedding]; with jk_enabled the block
+    from every layer is concatenated, otherwise only the final layer's.
     """
-    if sub.features is None:
+    batch = sub if isinstance(sub, SubgraphBatch) else batch_subgraphs([sub])
+    if batch.features is None:
         raise ValueError("subgraph is unlabeled; call label_nodes before scoring")
     if dropout_masks is not None and len(dropout_masks) != cfg.num_layers:
         raise ValueError(f"need {cfg.num_layers} dropout masks, got {len(dropout_masks)}")
-    if sub.features.shape[1] != cfg.input_dim:
+    if batch.features.shape[1] != cfg.input_dim:
         raise ValueError(
-            f"feature dim {sub.features.shape[1]} != configured input_dim {cfg.input_dim}"
+            f"feature dim {batch.features.shape[1]} != configured input_dim {cfg.input_dim}"
         )
-    lu, r_t, lv = sub.target
-    h = ad.constant(sub.features)
+    h = ad.constant(batch.features)
     per_layer: list[Tensor] = []
     for layer in range(cfg.num_layers):
         mask = dropout_masks[layer] if dropout_masks is not None else None
-        h = layer_forward(sub, h, layer, params, cfg, dropout_mask=mask)
+        h = layer_forward(batch, h, layer, params, cfg, dropout_mask=mask)
         per_layer.append(h)
-    e_rt = ad.slice_rows(params.target_rel_emb, [r_t])
-    chosen = per_layer if cfg.jk_enabled else per_layer[-1:]
-    blocks = []
-    for h_k in chosen:
-        blocks.append(
-            ad.concat([ad.mean_rows(h_k), ad.slice_rows(h_k, [lu]), ad.slice_rows(h_k, [lv]), e_rt])
-        )
-    readout = ad.concat(blocks) if len(blocks) > 1 else blocks[0]
-    return ad.matmul(readout, params.readout_w)
+    e_rt = ad.slice_rows(params.target_rel_emb, batch.target_rels)
+    inv_sizes = (1.0 / batch.member_sizes).reshape(-1, 1)
+    num_members = len(batch.member_sizes)
+    parts = []
+    for h_k in per_layer if cfg.jk_enabled else per_layer[-1:]:
+        pooled = ad.apply_mask(ad.segment_sum(h_k, batch.node_member, num_members), inv_sizes)
+        parts += [pooled, ad.slice_rows(h_k, batch.u_rows), ad.slice_rows(h_k, batch.v_rows), e_rt]
+    return ad.matmul(ad.concat(parts), params.readout_w)

@@ -10,10 +10,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .evaluate import GrailScorer, auc_pr, sample_negative
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, atomic_open
 from .model import (
     GnnConfig,
     GnnParams,
+    batch_subgraphs,
     init_params,
     params_from_named,
     sample_edge_masks,
@@ -136,15 +137,6 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
-def _batch_loss(items: list[tuple[int, Tensor]]) -> Tensor:
-    """Sum example losses in ascending example-index order (order-invariant float result)."""
-    items = sorted(items, key=lambda kv: kv[0])
-    total = items[0][1]
-    for _, term in items[1:]:
-        total = ad.add(total, term)
-    return total
-
-
 MAGIC = b"GRAILCK1"
 
 
@@ -180,7 +172,7 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
     cfg["val_auc_pr"] = repr(ck.val_metric)
     blob = "\n".join(f"{k}={v}" for k, v in cfg.items()).encode("utf-8")
     buf += struct.pack("<I", len(blob)) + blob
-    with open(path, "wb") as f:
+    with atomic_open(path, binary=True) as f:
         f.write(bytes(buf))
 
 
@@ -329,8 +321,10 @@ def train(
     """Train on every non-self-loop triple of g_train with sampled negatives.
 
     Per positive, a corrupted negative is drawn and both candidate edges are
-    scored on their extracted subgraphs with per-layer edge dropout; the batch
-    loss is the sum of `hinge_loss` terms.  Every eval_every epochs (and on the final
+    scored on their extracted subgraphs with per-layer edge dropout.  Each
+    minibatch is scored as one disjoint union of those subgraphs, in
+    ascending positive index order, and its loss is the sum of the
+    `hinge_loss` terms.  Every eval_every epochs (and on the final
     epoch) validation AUC-PR is computed against fixed, seed-derived
     corruptions of valid_triples, and the best-scoring parameters are kept.
 
@@ -400,13 +394,14 @@ def train(
     # validation positives/negatives and their subgraphs are fixed for the run
     rng_valid = np.random.default_rng([seed, _S_VALID])
     valid_negs = [sample_negative(g_train, trip, rng_valid) for trip in valid_pos]
-    valid_pos_subs = [labeled_sub(t, cache=False) for t in valid_pos]
-    valid_neg_subs = [labeled_sub(t, cache=False) for t in valid_negs]
+    valid_pos_batch = batch_subgraphs([labeled_sub(t, cache=False) for t in valid_pos])
+    valid_neg_batch = batch_subgraphs([labeled_sub(t, cache=False) for t in valid_negs])
 
     def validation_auc() -> float:
-        ps = [score_triplet(s, params, gcfg).item() for s in valid_pos_subs]
-        ns = [score_triplet(s, params, gcfg).item() for s in valid_neg_subs]
-        return auc_pr(ps, ns)
+        with ad.no_grad():
+            ps = score_triplet(valid_pos_batch, params, gcfg)
+            ns = score_triplet(valid_neg_batch, params, gcfg)
+        return auc_pr(ps.data[:, 0], ns.data[:, 0])
 
     history: list[dict] = []
     best: Checkpoint | None = None
@@ -423,19 +418,24 @@ def train(
             batch = sorted(int(i) for i in order[lo : lo + tcfg.batch_size])
             for p in named_params.values():
                 p.zero_grad()
-            items: list[tuple[int, Tensor]] = []
+            # one union per minibatch: each positive, then its negatives
+            subs, masks, pos_rows, neg_rows = [], [], [], []
             for idx in batch:
                 pos = positives[idx]
-                pos_sub = labeled_sub(pos, cache=True)
-                pos_masks = sample_edge_masks(pos_sub, gcfg, rng_drop)
-                pos_score = score_triplet(pos_sub, params, gcfg, dropout_masks=pos_masks)
+                pos_row = len(subs)
+                subs.append(labeled_sub(pos, cache=True))
+                masks.append(sample_edge_masks(subs[-1], gcfg, rng_drop))
                 for _ in range(tcfg.neg_per_pos):
                     neg = sample_negative(g_train, pos, rng_neg)
-                    neg_sub = labeled_sub(neg, cache=False)
-                    neg_masks = sample_edge_masks(neg_sub, gcfg, rng_drop)
-                    neg_score = score_triplet(neg_sub, params, gcfg, dropout_masks=neg_masks)
-                    items.append((idx, hinge_loss(pos_score, neg_score, tcfg.margin)))
-            loss = _batch_loss(items)
+                    pos_rows.append(pos_row)
+                    neg_rows.append(len(subs))
+                    subs.append(labeled_sub(neg, cache=False))
+                    masks.append(sample_edge_masks(subs[-1], gcfg, rng_drop))
+            union_masks = [np.concatenate(layer) for layer in zip(*masks)]
+            scores = score_triplet(batch_subgraphs(subs), params, gcfg, dropout_masks=union_masks)
+            pos_scores = ad.slice_rows(scores, pos_rows)
+            neg_scores = ad.slice_rows(scores, neg_rows)
+            loss = ad.sum_all(hinge_loss(pos_scores, neg_scores, tcfg.margin))
             loss.backward()
             clip_gradients(named_params, tcfg.clip_norm)
             adam_step(named_params, adam, tcfg.lr, l2=tcfg.l2)
@@ -467,7 +467,7 @@ def train(
 
 
 def write_loss_log(history: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path) as f:
         f.write("epoch,loss,val_auc_pr\n")
         for row in history:
             val = "" if row["val_auc_pr"] is None else repr(row["val_auc_pr"])

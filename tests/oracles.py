@@ -127,12 +127,23 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def attention_weight(params, cfg, layer, h_s, h_t, r, r_t) -> float:
+    """Gate value in (0, 1) of one edge of relation r, sending h_s into h_t,
+    while relation r_t is scored; exactly 1.0 when attention is disabled."""
+    if not cfg.attention_enabled:
+        return 1.0
+    lp = params.layers[layer]
+    emb = params.attn_rel_emb.data
+    x = np.concatenate([np.ravel(h_s), np.ravel(h_t), emb[r], emb[r_t]])
+    hid = np.maximum(0.0, x @ lp.attn_w1.data + lp.attn_b1.data)
+    return float(sigmoid((hid @ lp.attn_w2.data + lp.attn_b2.data)[0]))
+
+
 def dense_gnn_reference(sub, params, cfg, dropout_masks=None) -> float:
     """Per-edge loop re-implementation of the scorer, no tape, no batching."""
     feats = sub.features
     n = feats.shape[0]
     h = feats.copy()
-    rel_emb = params.attn_rel_emb.data
     r_t = sub.target[1]
     per_layer = []
     for layer in range(cfg.num_layers):
@@ -148,12 +159,8 @@ def dense_gnn_reference(sub, params, cfg, dropout_masks=None) -> float:
                 src, dst = eh, et
             else:
                 src, dst = et, eh
-            msg = h[src] @ w_rel[er]
-            if cfg.attention_enabled:
-                x = np.concatenate([h[src], h[dst], rel_emb[er], rel_emb[r_t]])
-                hid = np.maximum(0.0, x @ lp.attn_w1.data + lp.attn_b1.data)
-                alpha = sigmoid(float((hid @ lp.attn_w2.data + lp.attn_b2.data)[0]))
-                msg = alpha * msg
+            gate = attention_weight(params, cfg, layer, h[src], h[dst], er, r_t)
+            msg = gate * (h[src] @ w_rel[er])
             if dropout_masks is not None:
                 msg = dropout_masks[layer][e] * msg
             agg[dst] += msg

@@ -7,15 +7,17 @@ from grail.autodiff import (
     Tensor,
     add,
     apply_mask,
+    basis_matmul,
     concat,
     constant,
     grad_check,
     matmul,
-    mean_rows,
     mul,
+    no_grad,
     parameter,
     relu,
     scale,
+    segment_sum,
     sigmoid,
     slice_rows,
     sum_all,
@@ -118,12 +120,67 @@ def test_concat_grad_and_errors():
         concat([a, rnd(rng, 3, 2)])
 
 
-def test_mean_rows_grad():
+def test_segment_sum_forward_backward_and_empty_segments():
     rng = np.random.default_rng(5)
-    a = rnd(rng, 5, 3)
-    assert grad_check(lambda: sum_all(mean_rows(a)), [a]) < 1e-6
-    with pytest.raises(ValueError, match="mean_rows"):
-        mean_rows(parameter(np.ones(3)))
+    a = rnd(rng, 4, 3)
+    idx = np.array([2, 0, 2, 4])
+    out = segment_sum(a, idx, 6)
+    want = np.zeros((6, 3))
+    for e, seg in enumerate(idx):
+        want[seg] += a.data[e]
+    assert np.array_equal(out.data, want)
+    assert np.all(out.data[[1, 3, 5]] == 0.0)  # segments no row names stay zero
+    w = rng.standard_normal((6, 3))
+    sum_all(mul(out, constant(w))).backward()
+    assert np.array_equal(a.grad, w[idx])  # backward gathers the adjoint rows
+    assert grad_check(lambda: sum_all(sigmoid(segment_sum(a, idx, 6))), [a]) < 1e-6
+    none = segment_sum(parameter(np.zeros((0, 3))), np.array([], dtype=int), 2)
+    assert np.array_equal(none.data, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="out of range"):
+        segment_sum(a, np.array([0, 1, 2, 6]), 6)
+    with pytest.raises(ValueError, match="out of range"):
+        segment_sum(a, np.array([0, -1, 2, 3]), 6)
+    with pytest.raises(ValueError, match="index shape"):
+        segment_sum(a, np.array([0, 1]), 6)
+    with pytest.raises(ValueError, match="segment_sum"):
+        segment_sum(parameter(np.ones(3)), np.array([0, 0, 0]), 1)
+
+
+def test_basis_matmul_mixes_the_bases_per_row():
+    rng = np.random.default_rng(14)
+    x, coef = rnd(rng, 5, 3), rnd(rng, 5, 2)
+    bases = [rnd(rng, 3, 4), rnd(rng, 3, 4)]
+    out = basis_matmul(x, coef, bases)
+    want = [x.data[e] @ (coef.data[e, 0] * bases[0].data + coef.data[e, 1] * bases[1].data)
+            for e in range(5)]
+    assert np.allclose(out.data, want, rtol=1e-12, atol=1e-12)
+    err = grad_check(lambda: sum_all(sigmoid(basis_matmul(x, coef, bases))), [x, coef, *bases])
+    assert err < 1e-6
+    with pytest.raises(ValueError, match="basis_matmul"):
+        basis_matmul(x, rnd(rng, 5, 3), bases)
+    with pytest.raises(ValueError, match="basis_matmul"):
+        basis_matmul(x, coef, [])
+
+
+def test_no_grad_records_no_parents_and_restores_recording():
+    rng = np.random.default_rng(15)
+    a = rnd(rng, 3, 2)
+    taped = sum_all(mul(a, a))
+    with no_grad():
+        with no_grad():
+            pass
+        out = sum_all(mul(a, a))  # still inside the outer context
+        leaf = parameter(np.ones(2))
+    assert out.data == taped.data
+    assert out._parents == () and out._vjp is None and not out.requires_grad
+    assert leaf.requires_grad
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    again = sum_all(mul(a, a))
+    assert again._parents and again.requires_grad
+    again.backward()
+    assert np.array_equal(a.grad, 2.0 * a.data)
 
 
 def test_slice_rows_grad_scatters():

@@ -162,6 +162,15 @@ def test_indices_cover_all_triples():
         assert g.neighbors[n] == sorted(touching)
 
 
+def test_direct_construction_rejects_out_of_range_ids():
+    for bad in [(0, 0, -1), (-1, 0, 1), (0, 0, 3), (3, 0, 0)]:
+        with pytest.raises(ValueError, match="entity id out of range"):
+            KnowledgeGraph(["a", "b", "c"], ["r"], [(0, 0, 1), bad])
+    for bad in [(0, -1, 1), (0, 1, 1)]:
+        with pytest.raises(ValueError, match="relation id out of range"):
+            KnowledgeGraph(["a", "b", "c"], ["r"], [bad])
+
+
 def test_direct_construction_builds_indices():
     g = KnowledgeGraph(["a", "b", "c"], ["r"], [(0, 0, 1)])
     assert g.out_edges == [[(0, 1)], [], []]

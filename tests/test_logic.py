@@ -13,9 +13,8 @@ from grail.logic import (
     score_rule_construction,
     verify_theorem1,
 )
-from grail.model import attention_weight
 
-from oracles import random_kg, rule_walks_oracle
+from oracles import attention_weight, random_kg, rule_walks_oracle
 
 
 def test_path_rule_validation():

@@ -7,7 +7,6 @@ from grail.autodiff import grad_check
 from grail.kg import load_triples
 from grail.model import (
     GnnConfig,
-    attention_weight,
     init_params,
     layer_forward,
     params_from_named,
@@ -16,7 +15,7 @@ from grail.model import (
 )
 from grail.subgraph import extract_enclosing, feature_dim, label_nodes
 
-from oracles import dense_gnn_reference, random_kg
+from oracles import attention_weight, dense_gnn_reference, random_kg
 
 
 def small_cfg(**kw):

@@ -1,5 +1,7 @@
 """Margin training loop, Adam, clipping, and the checkpoint wire format."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -283,3 +285,26 @@ def test_loss_log_roundtrip(tmp_path):
     assert lines[0] == "epoch,loss,val_auc_pr"
     assert lines[1] == "1,0.5,0.75"
     assert lines[2] == "2,0.25,"
+
+
+def test_failed_write_leaves_the_previous_file_intact(tmp_path, monkeypatch):
+    log = tmp_path / "loss.csv"
+    write_loss_log([{"epoch": 1, "loss": 0.5, "val_auc_pr": None}], str(log))
+    old_log = log.read_bytes()
+    rows = [{"epoch": e, "loss": 0.25, "val_auc_pr": 0.75} for e in range(1, 200)]
+    with pytest.raises(KeyError):
+        write_loss_log(rows + [{"epoch": 200}], str(log))  # the last row has no loss
+    assert log.read_bytes() == old_log
+
+    ck_path = tmp_path / "model.ck"
+    save_checkpoint(Checkpoint({"hops": "2"}, {"w": np.ones((2, 2))}, 1, 0.5), str(ck_path))
+    old_ck = ck_path.read_bytes()
+
+    def disk_error(fd):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "fsync", disk_error)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(Checkpoint({"hops": "3"}, {"w": np.zeros((9, 9))}, 2, 0.9), str(ck_path))
+    assert ck_path.read_bytes() == old_ck
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv", "model.ck"]
