@@ -130,12 +130,6 @@ def zero_grads(tensors) -> None:
         t.zero_grad()
 
 
-def _finite_or_raise(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{op}: non-finite values in result")
-    return arr
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")

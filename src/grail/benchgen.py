@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import KnowledgeGraph, from_parts, save_triples_file, without_triples
+from .kg import KnowledgeGraph, atomic_open, from_parts, save_triples_file, without_triples
 
 __all__ = [
     "SamplerConfig",
@@ -226,10 +226,10 @@ def write_benchmark(
         g_ind, test_fraction, np.random.default_rng([seed, 22])
     )
     save_triples_file(msg_train, os.path.join(out_dir, "train.txt"))
-    with open(os.path.join(out_dir, "valid.txt"), "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(os.path.join(out_dir, "valid.txt")) as f:
         f.write(_edge_lines(g_train, valid_edges))
     save_triples_file(g_ind, os.path.join(out_dir, "ind_test_graph.txt"))
-    with open(os.path.join(out_dir, "test.txt"), "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(os.path.join(out_dir, "test.txt")) as f:
         f.write(_edge_lines(g_ind, test_edges))
     stats = {
         "train": {
@@ -243,7 +243,7 @@ def write_benchmark(
             "links": len(g_ind.triples),
         },
     }
-    with open(os.path.join(out_dir, "stats.tsv"), "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(os.path.join(out_dir, "stats.tsv")) as f:
         f.write("graph\trelations\tnodes\tlinks\n")
         for name, row in stats.items():
             f.write(f"{name}\t{row['relations']}\t{row['nodes']}\t{row['links']}\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,41 +29,26 @@ from .evaluate import (
     write_scores_file,
     write_triplet_csv,
 )
-from .kg import KnowledgeGraph, load_triples
+from .kg import KnowledgeGraph, atomic_open, load_triples
 from .logic import verify_theorem1
 from .model import GnnConfig
 from .subgraph import feature_dim, parse_aux_features
 from .train import (
     TrainConfig,
     load_checkpoint,
-    relations_from_checkpoint,
+    parse_setting,
+    resume_params,
     save_checkpoint,
     scorer_from_checkpoint,
+    setting_text,
     train,
     write_loss_log,
 )
 
 CONFIG_DEFAULTS: dict[str, object] = {
-    # model
-    "num_layers": 3,
-    "hidden_dim": 32,
-    "num_bases": 4,
-    "attention_enabled": True,
-    "jk_enabled": True,
-    "edge_dropout_rate": 0.5,
-    "aggregate_in_neighbors": False,
-    # training
-    "margin": 10.0,
-    "lr": 0.01,
-    "l2": 5e-4,
-    "clip_norm": 1000.0,
-    "epochs": 50,
-    "eval_every": 3,
-    "batch_size": 16,
-    "neg_per_pos": 1,
-    "hops": 3,
-    "labeling": "double_radius",
-    "extraction_mode": "enclosing",
+    # model and training (seed is shared); input_dim follows from hops and the aux features
+    **{f.name: f.default for f in fields(GnnConfig) if f.name != "input_dim"},
+    **{f.name: f.default for f in fields(TrainConfig)},
     # evaluation
     "eval_negatives": 50,
     # benchmark sampling
@@ -76,32 +62,11 @@ CONFIG_DEFAULTS: dict[str, object] = {
     "test_target_edges": 1000,
     "valid_fraction": 0.10,
     "test_fraction": 0.10,
-    # shared
-    "seed": 0,
 }
 
 
 class ConfigError(Exception):
     pass
-
-
-def _coerce(key: str, raw: str) -> object:
-    default = CONFIG_DEFAULTS[key]
-    if isinstance(default, bool):
-        if raw not in ("true", "false"):
-            raise ConfigError(f"config key {key!r} expects true or false, got {raw!r}")
-        return raw == "true"
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} expects an integer, got {raw!r}") from None
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} expects a number, got {raw!r}") from None
-    return raw
 
 
 def load_run_config(path: str | None) -> dict[str, object]:
@@ -120,7 +85,10 @@ def load_run_config(path: str | None) -> dict[str, object]:
         raw = raw.strip()
         if key not in CONFIG_DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        cfg[key] = _coerce(key, raw)
+        try:
+            cfg[key] = parse_setting(key, CONFIG_DEFAULTS[key], raw)
+        except ValueError as e:
+            raise ConfigError(f"{path}:{lineno}: {e}") from None
     return cfg
 
 
@@ -200,34 +168,9 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _gnn_config(cfg: dict[str, object], input_dim: int) -> GnnConfig:
-    return GnnConfig(
-        num_layers=int(cfg["num_layers"]),
-        hidden_dim=int(cfg["hidden_dim"]),
-        num_bases=int(cfg["num_bases"]),
-        attention_enabled=bool(cfg["attention_enabled"]),
-        jk_enabled=bool(cfg["jk_enabled"]),
-        edge_dropout_rate=float(cfg["edge_dropout_rate"]),
-        input_dim=input_dim,
-        aggregate_in_neighbors=bool(cfg["aggregate_in_neighbors"]),
-    )
-
-
-def _train_config(cfg: dict[str, object], seed: int) -> TrainConfig:
-    return TrainConfig(
-        margin=float(cfg["margin"]),
-        lr=float(cfg["lr"]),
-        l2=float(cfg["l2"]),
-        clip_norm=float(cfg["clip_norm"]),
-        epochs=int(cfg["epochs"]),
-        eval_every=int(cfg["eval_every"]),
-        batch_size=int(cfg["batch_size"]),
-        neg_per_pos=int(cfg["neg_per_pos"]),
-        hops=int(cfg["hops"]),
-        seed=seed,
-        labeling=str(cfg["labeling"]),
-        extraction_mode=str(cfg["extraction_mode"]),
-    )
+def _dataclass_config(cls, cfg: dict[str, object], **fixed):
+    """Build a config dataclass from the run config's keys, with some fields fixed."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name not in fixed}, **fixed)
 
 
 def cmd_train(args) -> int:
@@ -244,8 +187,8 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{args.aux_features}: {e}") from e
         aux_dim = next(iter(aux.values())).shape[0]
     try:
-        tcfg = _train_config(cfg, seed)
-        gcfg = _gnn_config(cfg, feature_dim(int(cfg["hops"]), aux_dim))
+        tcfg = _dataclass_config(TrainConfig, cfg, seed=seed)
+        gcfg = _dataclass_config(GnnConfig, cfg, input_dim=feature_dim(tcfg.hops, aux_dim))
     except ValueError as e:
         raise ConfigError(str(e)) from e
     start = None
@@ -253,10 +196,10 @@ def cmd_train(args) -> int:
         if not os.path.isfile(args.from_checkpoint):
             raise ConfigError(f"no such file: {args.from_checkpoint}")
         start = load_checkpoint(args.from_checkpoint)
-        if relations_from_checkpoint(start) != g_train.relation_names:
-            raise ConfigError(
-                "checkpoint relation vocabulary does not match the training graph"
-            )
+        try:
+            resume_params(start, g_train.relation_names, gcfg, tcfg)
+        except ValueError as e:
+            raise ConfigError(f"{args.from_checkpoint}: {e}") from e
     best, final, history = train(
         g_train, valid, tcfg, gcfg, aux_features=aux, start=start, log_fn=_log
     )
@@ -303,7 +246,7 @@ def cmd_verify(args) -> int:
     report = verify_theorem1(
         args.trials, args.max_rule_len, np.random.default_rng(args.seed)
     )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(args.out) as f:
         f.write(report.to_text())
     _log(
         f"trials={report.trials} agreements={report.agreements} "
@@ -326,17 +269,8 @@ def cmd_ensemble(args) -> int:
     missing = [k for k in keys if k not in labels_table]
     if missing:
         raise ConfigError(f"{args.valid_labels}: no label for {missing[0]}")
-    x_valid = np.array([[tab[k] for tab in tables] for k in keys])
-    y = np.array([labels_table[k] for k in keys], dtype=np.float64)
-    fused_valid, weights, losses = late_fusion(x_valid, y, x_valid)
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    def write_scores(path: str, names, values) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for (h, r, t), s in zip(names, values):
-                f.write(f"{h}\t{r}\t{t}\t{s!r}\n")
-
-    write_scores(os.path.join(args.out_dir, "fused_valid.tsv"), keys, fused_valid)
+    test_keys: list[tuple[str, str, str]] = []
+    x_test = np.zeros((0, len(tables)))
     if args.test_scores is not None:
         try:
             test_tables = [parse_score_file(_read_file(p)) for p in args.test_scores]
@@ -344,32 +278,32 @@ def cmd_ensemble(args) -> int:
         except ValueError as e:
             raise ConfigError(str(e)) from e
         x_test = np.array([[tab[k] for tab in test_tables] for k in test_keys])
-        z = np.concatenate([x_test, np.ones((x_test.shape[0], 1))], axis=1) @ weights
-        fused_test = 1.0 / (1.0 + np.exp(-z))
+    x_valid = np.array([[tab[k] for tab in tables] for k in keys])
+    y = np.array([labels_table[k] for k in keys], dtype=np.float64)
+    # one fit fuses both tables, so validation and test share one formula
+    fused, _, losses = late_fusion(x_valid, y, np.concatenate([x_valid, x_test]))
+    fused_valid, fused_test = fused[: len(keys)], fused[len(keys) :]
+    os.makedirs(args.out_dir, exist_ok=True)
+
+    def write_scores(path: str, names, values) -> None:
+        with atomic_open(path) as f:
+            for (h, r, t), s in zip(names, values):
+                f.write(f"{h}\t{r}\t{t}\t{float(s)!r}\n")
+
+    write_scores(os.path.join(args.out_dir, "fused_valid.tsv"), keys, fused_valid)
+    if args.test_scores is not None:
         write_scores(os.path.join(args.out_dir, "fused_test.tsv"), test_keys, fused_test)
-    aucs = []
-    for i in range(len(tables)):
-        pos = [x_valid[j, i] for j in range(len(keys)) if y[j] == 1.0]
-        neg = [x_valid[j, i] for j in range(len(keys)) if y[j] == 0.0]
-        aucs.append(auc_pr(pos, neg))
-    fused_auc = auc_pr(
-        [s for s, lab in zip(fused_valid, y) if lab == 1.0],
-        [s for s, lab in zip(fused_valid, y) if lab == 0.0],
-    )
-    best = max(aucs)
-    if len(aucs) == 2:
-        gain = ensemble_gain(aucs[0], aucs[1], fused_auc)
-    else:
-        gain = (fused_auc - best) / best
-    with open(os.path.join(args.out_dir, "gains.tsv"), "w", encoding="utf-8", newline="\n") as f:
+    aucs = [auc_pr(x_valid[y == 1.0, i], x_valid[y == 0.0, i]) for i in range(len(tables))]
+    fused_auc = auc_pr(fused_valid[y == 1.0], fused_valid[y == 0.0])
+    # the best of the two highest is the best of all methods
+    gain = ensemble_gain(*sorted(aucs)[-2:], fused_auc)
+    with atomic_open(os.path.join(args.out_dir, "gains.tsv")) as f:
         f.write("method\tauc_pr\n")
         for path, auc in zip(args.scores, aucs):
             f.write(f"{path}\t{auc!r}\n")
         f.write(f"fused\t{fused_auc!r}\n")
         f.write(f"gain_over_best\t{gain!r}\n")
-    with open(
-        os.path.join(args.out_dir, "fusion_loss.csv"), "w", encoding="utf-8", newline="\n"
-    ) as f:
+    with atomic_open(os.path.join(args.out_dir, "fusion_loss.csv")) as f:
         f.write("iteration,loss\n")
         for i, loss in enumerate(losses):
             f.write(f"{i},{loss!r}\n")
@@ -379,9 +313,7 @@ def cmd_ensemble(args) -> int:
 
 def _config_epilog() -> str:
     lines = ["config file keys (key=value per line, # comments) and defaults:"]
-    for key, val in CONFIG_DEFAULTS.items():
-        shown = str(val).lower() if isinstance(val, bool) else val
-        lines.append(f"  {key}={shown}")
+    lines += [f"  {key}={setting_text(val)}" for key, val in CONFIG_DEFAULTS.items()]
     return "\n".join(lines)
 
 

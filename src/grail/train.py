@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +32,12 @@ __all__ = [
     "train",
     "save_checkpoint",
     "load_checkpoint",
+    "setting_text",
+    "parse_setting",
+    "config_text",
+    "config_from_text",
+    "model_from_checkpoint",
+    "resume_params",
     "scorer_from_checkpoint",
     "write_loss_log",
 ]
@@ -42,6 +48,10 @@ _S_SHUFFLE = 2
 _S_NEG = 3
 _S_DROPOUT = 4
 _S_VALID = 5
+
+# marks a TrainConfig field that shapes the subgraphs the model reads, so a
+# resumed run must keep the checkpoint's value
+_MODEL_INPUT = {"model_input": True}
 
 
 @dataclass
@@ -54,10 +64,10 @@ class TrainConfig:
     eval_every: int = 3
     batch_size: int = 16
     neg_per_pos: int = 1
-    hops: int = 3
+    hops: int = field(default=3, metadata=_MODEL_INPUT)
     seed: int = 0
-    labeling: str = "double_radius"
-    extraction_mode: str = "enclosing"
+    labeling: str = field(default="double_radius", metadata=_MODEL_INPUT)
+    extraction_mode: str = field(default="enclosing", metadata=_MODEL_INPUT)
 
     def __post_init__(self) -> None:
         if self.margin <= 0 or self.lr <= 0 or self.clip_norm <= 0:
@@ -222,47 +232,39 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(config=config, tensors=tensors, epoch=epoch, val_metric=val_metric)
 
 
-def _config_snapshot(gcfg: GnnConfig, tcfg: TrainConfig, relation_names: list[str]) -> dict[str, str]:
-    snap = {
-        "num_layers": str(gcfg.num_layers),
-        "hidden_dim": str(gcfg.hidden_dim),
-        "num_bases": str(gcfg.num_bases),
-        "attention_enabled": str(gcfg.attention_enabled).lower(),
-        "jk_enabled": str(gcfg.jk_enabled).lower(),
-        "edge_dropout_rate": repr(gcfg.edge_dropout_rate),
-        "input_dim": str(gcfg.input_dim),
-        "aggregate_in_neighbors": str(gcfg.aggregate_in_neighbors).lower(),
-        "margin": repr(tcfg.margin),
-        "lr": repr(tcfg.lr),
-        "l2": repr(tcfg.l2),
-        "clip_norm": repr(tcfg.clip_norm),
-        "epochs": str(tcfg.epochs),
-        "eval_every": str(tcfg.eval_every),
-        "batch_size": str(tcfg.batch_size),
-        "neg_per_pos": str(tcfg.neg_per_pos),
-        "hops": str(tcfg.hops),
-        "seed": str(tcfg.seed),
-        "labeling": tcfg.labeling,
-        "extraction_mode": tcfg.extraction_mode,
-        "num_relations": str(len(relation_names)),
-    }
-    for i, name in enumerate(relation_names):
-        snap[f"relation.{i}"] = name
-    return snap
+def setting_text(value: object) -> str:
+    """One setting as a config or checkpoint value: true/false, repr for floats."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def gnn_config_from_checkpoint(ck: Checkpoint) -> GnnConfig:
-    c = ck.config
-    return GnnConfig(
-        num_layers=int(c["num_layers"]),
-        hidden_dim=int(c["hidden_dim"]),
-        num_bases=int(c["num_bases"]),
-        attention_enabled=c["attention_enabled"] == "true",
-        jk_enabled=c["jk_enabled"] == "true",
-        edge_dropout_rate=float(c["edge_dropout_rate"]),
-        input_dim=int(c["input_dim"]),
-        aggregate_in_neighbors=c["aggregate_in_neighbors"] == "true",
-    )
+def parse_setting(key: str, default: object, raw: str) -> object:
+    """Parse raw by the type of the setting's default (the inverse of setting_text)."""
+    if isinstance(default, bool):
+        if raw not in ("true", "false"):
+            raise ValueError(f"config key {key!r} expects true or false, got {raw!r}")
+        return raw == "true"
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(raw)
+        except ValueError:
+            what = "an integer" if isinstance(default, int) else "a number"
+            raise ValueError(f"config key {key!r} expects {what}, got {raw!r}") from None
+    return raw
+
+
+def config_text(cfg) -> dict[str, str]:
+    """A config dataclass as key=value text, one entry per field in declared order."""
+    return {f.name: setting_text(getattr(cfg, f.name)) for f in fields(cfg)}
+
+
+def config_from_text(cls, text: dict[str, str]):
+    """Build cls from key=value text; keys that are not fields of cls are
+    ignored and a field without a key keeps its default."""
+    return cls(**{
+        f.name: parse_setting(f.name, f.default, text[f.name]) for f in fields(cls) if f.name in text
+    })
 
 
 def relations_from_checkpoint(ck: Checkpoint) -> list[str]:
@@ -270,19 +272,62 @@ def relations_from_checkpoint(ck: Checkpoint) -> list[str]:
     return [ck.config[f"relation.{i}"] for i in range(count)]
 
 
+def model_from_checkpoint(ck: Checkpoint) -> tuple[GnnParams, GnnConfig, TrainConfig]:
+    """The weights and both configs of a checkpoint.
+
+    Every weight tensor must have the name and shape that init_params gives
+    for the stored config, so a checkpoint whose config does not describe its
+    tensors fails here instead of at its first score.
+    """
+    gcfg = config_from_text(GnnConfig, ck.config)
+    tcfg = config_from_text(TrainConfig, ck.config)
+    named = {k: v for k, v in ck.tensors.items() if not k.startswith("adam.")}
+    layout = init_params(gcfg, int(ck.config["num_relations"]), np.random.default_rng(0), zero=True)
+    want = {name: t.data.shape for name, t in layout.named_tensors().items()}
+    for name in [*want, *(n for n in named if n not in want)]:
+        got = named[name].shape if name in named else None
+        if got != want.get(name):
+            raise ValueError(
+                f"checkpoint tensor {name!r} has shape {got} but its config gives {want.get(name)}"
+            )
+    return params_from_named(named), gcfg, tcfg
+
+
+def resume_params(
+    start: Checkpoint, relation_names: list[str], gcfg: GnnConfig, tcfg: TrainConfig
+) -> GnnParams:
+    """The weights to resume training from.
+
+    Raises ValueError if start was trained on another relation vocabulary,
+    or if any GnnConfig field or model-input TrainConfig field differs;
+    epochs and the optimiser settings may change.
+    """
+    if relations_from_checkpoint(start) != relation_names:
+        raise ValueError("checkpoint relation vocabulary does not match the training graph")
+    params, ck_gcfg, ck_tcfg = model_from_checkpoint(start)
+    pairs = [(f, ck_gcfg, gcfg) for f in fields(gcfg)]
+    pairs += [(f, ck_tcfg, tcfg) for f in fields(tcfg) if f.metadata.get("model_input")]
+    for f, old, new in pairs:
+        was, now = getattr(old, f.name), getattr(new, f.name)
+        if was != now:
+            raise ValueError(
+                f"cannot resume: the checkpoint has {f.name}={setting_text(was)} "
+                f"but the config has {f.name}={setting_text(now)}"
+            )
+    return params
+
+
 def scorer_from_checkpoint(
     ck: Checkpoint, aux_features: dict[str, np.ndarray] | None = None
 ) -> GrailScorer:
-    named = {k: v for k, v in ck.tensors.items() if not k.startswith("adam.")}
-    params = params_from_named(named)
-    cfg = gnn_config_from_checkpoint(ck)
+    params, gcfg, tcfg = model_from_checkpoint(ck)
     return GrailScorer(
         params,
-        cfg,
+        gcfg,
         relations_from_checkpoint(ck),
-        hops=int(ck.config["hops"]),
-        labeling=ck.config["labeling"],
-        mode=ck.config["extraction_mode"],
+        hops=tcfg.hops,
+        labeling=tcfg.labeling,
+        mode=tcfg.extraction_mode,
         aux_features=aux_features,
     )
 
@@ -364,8 +409,7 @@ def train(
 
     seed = tcfg.seed
     if start is not None:
-        named = {k: v for k, v in start.tensors.items() if not k.startswith("adam.")}
-        params = params_from_named(named)
+        params = resume_params(start, g_train.relation_names, gcfg, tcfg)
         adam = _adam_state_from_tensors(start.tensors)
         first_epoch = start.epoch + 1
         if first_epoch > tcfg.epochs:
@@ -405,7 +449,9 @@ def train(
 
     history: list[dict] = []
     best: Checkpoint | None = None
-    snapshot = _config_snapshot(gcfg, tcfg, g_train.relation_names)
+    snapshot = {**config_text(gcfg), **config_text(tcfg)}
+    snapshot["num_relations"] = str(g_train.num_relations)
+    snapshot.update((f"relation.{i}", name) for i, name in enumerate(g_train.relation_names))
     if start is not None and not np.isnan(start.val_metric):
         best = start
     for epoch in range(first_epoch, tcfg.epochs + 1):

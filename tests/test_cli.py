@@ -1,12 +1,19 @@
 """Command-line driver: full pipeline runs, config handling, exit codes."""
 
+import dataclasses
+import importlib
+import importlib.util
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from grail.cli import CONFIG_DEFAULTS, main
+from grail.evaluate import late_fusion, parse_labels_file, parse_score_file
 from grail.kg import load_triples_file, to_lines
+from grail.model import GnnConfig
+from grail.train import TrainConfig, load_checkpoint, model_from_checkpoint, setting_text
 
 from oracles import random_kg
 
@@ -163,6 +170,43 @@ def test_ensemble_command(workdir, tmp_path):
     assert gains[-1].startswith("gain_over_best\t")
     for name in ("fused_valid.tsv", "fused_test.tsv", "fusion_loss.csv"):
         assert os.path.getsize(os.path.join(fused_dir, name)) > 0
+    # the fused tables are score files in their own right
+    valid_table = parse_score_file(open(scores).read())
+    keys = sorted(valid_table)
+    for name in ("fused_valid.tsv", "fused_test.tsv"):
+        fused = parse_score_file(open(os.path.join(fused_dir, name)).read())
+        assert list(fused) == keys
+        assert all(0.0 <= s <= 1.0 for s in fused.values())
+
+    # extreme test scores go through the same clipped formula as validation
+    extreme = str(tmp_path / "extreme.tsv")
+    with open(extreme, "w") as f:
+        for i, key in enumerate(keys):
+            f.write("\t".join(key) + f"\t{(-5000.0, 5000.0)[i % 2]!r}\n")
+    extreme_dir = str(tmp_path / "fused_extreme")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ensemble", "--scores", scores, shifted,
+                     "--valid-labels", labels,
+                     "--test-scores", extreme, extreme,
+                     "--out-dir", extreme_dir]) == 0
+    shifted_table = parse_score_file(open(shifted).read())
+    label_table = parse_labels_file(open(labels).read())
+    x_valid = np.array([[valid_table[k], shifted_table[k]] for k in keys])
+    y = np.array([label_table[k] for k in keys], dtype=np.float64)
+    x_test = np.array([[(-5000.0, 5000.0)[i % 2]] * 2 for i in range(len(keys))])
+    want, _, _ = late_fusion(x_valid, y, x_test)
+    got = parse_score_file(open(os.path.join(extreme_dir, "fused_test.tsv")).read())
+    assert list(got.values()) == list(want)
+
+    # with three methods the gain is still over the best one
+    three_dir = str(tmp_path / "fused_three")
+    assert main(["ensemble", "--scores", shifted, scores, shifted,
+                 "--valid-labels", labels, "--out-dir", three_dir]) == 0
+    rows = dict(line.split("\t") for line in
+                open(os.path.join(three_dir, "gains.tsv")).read().splitlines()[1:])
+    best = max(float(rows[p]) for p in (scores, shifted))
+    assert float(rows["gain_over_best"]) == pytest.approx((float(rows["fused"]) - best) / best)
 
 
 def test_unknown_config_key_exit_2(workdir, tmp_path):
@@ -173,14 +217,15 @@ def test_unknown_config_key_exit_2(workdir, tmp_path):
     assert code == 2
 
 
-def test_malformed_config_line_exit_2(workdir, tmp_path):
+def test_malformed_config_line_exit_2(workdir, tmp_path, capsys):
     bad = str(tmp_path / "bad.cfg")
     open(bad, "w").write("epochs\n")
     assert main(["split", "--input", workdir["src"], "--out-dir",
                  str(tmp_path / "x"), "--config", bad]) == 2
-    open(bad, "w").write("epochs=many\n")
+    open(bad, "w").write("# a bad value names its line\nepochs=many\n")
     assert main(["split", "--input", workdir["src"], "--out-dir",
                  str(tmp_path / "x"), "--config", bad]) == 2
+    assert f"{bad}:2: config key 'epochs' expects an integer" in capsys.readouterr().err
 
 
 def test_missing_file_exit_2(tmp_path):
@@ -256,3 +301,93 @@ def test_config_comments_and_blanks_ok(workdir, tmp_path):
                  "--valid", os.path.join(bench, "valid.txt"),
                  "--config", cfg, "--out", ck])
     assert code == 0
+
+
+def test_resume_with_changed_model_config_exit_2(workdir, tmp_path):
+    bench = workdir["bench"]
+    for change in ("hidden_dim=8", "labeling=constant", "aggregate_in_neighbors=true"):
+        cfg = str(tmp_path / "changed.cfg")
+        open(cfg, "w").write(FAST_TRAIN.replace("epochs=2", "epochs=4") + change + "\n")
+        code = main(["train", "--train", os.path.join(bench, "train.txt"),
+                     "--valid", os.path.join(bench, "valid.txt"),
+                     "--config", cfg, "--out", str(tmp_path / "o.ck"),
+                     "--from-checkpoint", workdir["ck"] + ".final"])
+        assert code == 2, change
+    assert not os.path.exists(tmp_path / "o.ck")
+
+
+def test_config_defaults_are_the_dataclass_fields(capsys):
+    settings = [f for cls in (GnnConfig, TrainConfig) for f in dataclasses.fields(cls)
+                if f.name != "input_dim"]
+    names = [f.name for f in settings]
+    assert len(set(names)) == len(names)
+    for f in settings:
+        assert CONFIG_DEFAULTS[f.name] == f.default
+        # values are parsed by the type of the default, so it must match the annotation
+        assert type(f.default).__name__ == f.type
+    assert "input_dim" not in CONFIG_DEFAULTS
+    # the keys and defaults of the CLI
+    assert CONFIG_DEFAULTS == {
+        "num_layers": 3, "hidden_dim": 32, "num_bases": 4, "attention_enabled": True,
+        "jk_enabled": True, "edge_dropout_rate": 0.5, "aggregate_in_neighbors": False,
+        "margin": 10.0, "lr": 0.01, "l2": 5e-4, "clip_norm": 1000.0, "epochs": 50,
+        "eval_every": 3, "batch_size": 16, "neg_per_pos": 1, "hops": 3, "seed": 0,
+        "labeling": "double_radius", "extraction_mode": "enclosing", "eval_negatives": 50,
+        "train_num_roots": 20, "train_hops": 3, "train_max_new_per_hop": 50,
+        "train_target_edges": 5000, "test_num_roots": 10, "test_hops": 3,
+        "test_max_new_per_hop": 50, "test_target_edges": 1000, "valid_fraction": 0.10,
+        "test_fraction": 0.10,
+    }
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    out = capsys.readouterr().out
+    for f in settings:
+        assert f"  {f.name}={setting_text(f.default)}\n" in out
+    assert "input_dim" not in out
+
+
+def test_a_new_config_field_reaches_the_cli_and_the_checkpoint(workdir, tmp_path,
+                                                               monkeypatch, capsys):
+    # add a field to each dataclass and load a fresh copy of the CLI module
+    gnn = dataclasses.make_dataclass("GnnConfig", [("probe_scale", float, 0.25)],
+                                     bases=(GnnConfig,))
+    trn = dataclasses.make_dataclass("TrainConfig", [("probe_tag", str, "plain")],
+                                     bases=(TrainConfig,))
+    # grail.train names the function; the module comes from import_module
+    model_mod, train_mod = (importlib.import_module(f"grail.{m}") for m in ("model", "train"))
+    monkeypatch.setattr(model_mod, "GnnConfig", gnn)
+    monkeypatch.setattr(train_mod, "GnnConfig", gnn)
+    monkeypatch.setattr(train_mod, "TrainConfig", trn)
+    spec = importlib.util.find_spec("grail.cli")
+    cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli)
+
+    assert cli.CONFIG_DEFAULTS["probe_scale"] == 0.25
+    assert cli.CONFIG_DEFAULTS["probe_tag"] == "plain"
+    with pytest.raises(SystemExit):
+        cli.main(["train", "--help"])
+    out = capsys.readouterr().out
+    assert "  probe_scale=0.25\n" in out and "  probe_tag=plain\n" in out
+
+    bench = workdir["bench"]
+    args = ["train", "--train", os.path.join(bench, "train.txt"),
+            "--valid", os.path.join(bench, "valid.txt")]
+    cfg = str(tmp_path / "probe.cfg")
+    open(cfg, "w").write(FAST_TRAIN + "probe_scale=0.75\nprobe_tag=tuned\n")
+    ck = str(tmp_path / "probe.ck")
+    assert cli.main(args + ["--config", cfg, "--out", ck]) == 0
+    config = load_checkpoint(ck).config
+    keys = list(config)
+    assert config["probe_scale"] == "0.75" and config["probe_tag"] == "tuned"
+    assert keys.index("probe_scale") == keys.index("aggregate_in_neighbors") + 1
+    assert keys.index("probe_tag") == keys.index("extraction_mode") + 1
+    _, gcfg, tcfg = model_from_checkpoint(load_checkpoint(ck))
+    assert (gcfg.probe_scale, tcfg.probe_tag) == (0.75, "tuned")
+
+    # a bad value is a configuration error, and the new model field binds a resume
+    open(cfg, "w").write(FAST_TRAIN + "probe_scale=big\n")
+    assert cli.main(args + ["--config", cfg, "--out", ck]) == 2
+    open(cfg, "w").write(FAST_TRAIN.replace("epochs=2", "epochs=3") + "probe_scale=0.5\n")
+    assert cli.main(args + ["--config", cfg, "--out", str(tmp_path / "r.ck"),
+                            "--from-checkpoint", ck + ".final"]) == 2
+    assert "probe_scale=0.75" in capsys.readouterr().err

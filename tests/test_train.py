@@ -1,11 +1,13 @@
 """Margin training loop, Adam, clipping, and the checkpoint wire format."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from grail.autodiff import constant, parameter, sum_all
+from grail.cli import main
 from grail.kg import from_parts, load_triples
 from grail.model import GnnConfig
 from grail.subgraph import feature_dim
@@ -16,9 +18,11 @@ from grail.train import (
     TrainConfig,
     adam_step,
     clip_gradients,
-    gnn_config_from_checkpoint,
+    config_from_text,
+    config_text,
     hinge_loss,
     load_checkpoint,
+    model_from_checkpoint,
     relations_from_checkpoint,
     save_checkpoint,
     scorer_from_checkpoint,
@@ -257,7 +261,7 @@ def test_train_input_validation():
 def test_checkpoint_config_reconstruction():
     g, valid, tcfg, gcfg = toy_setup(epochs=1, seed=8)
     _, final, _ = train(g, valid, tcfg, gcfg)
-    assert gnn_config_from_checkpoint(final) == gcfg
+    assert model_from_checkpoint(final)[1] == gcfg
     assert relations_from_checkpoint(final) == g.relation_names
     assert int(final.config["hops"]) == tcfg.hops
 
@@ -307,4 +311,137 @@ def test_failed_write_leaves_the_previous_file_intact(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="no space"):
         save_checkpoint(Checkpoint({"hops": "3"}, {"w": np.zeros((9, 9))}, 2, 0.9), str(ck_path))
     assert ck_path.read_bytes() == old_ck
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv", "model.ck"]
+
+    report = tmp_path / "verify.txt"
+    monkeypatch.undo()
+    assert main(["verify", "--trials", "3", "--seed", "1", "--out", str(report)]) == 0
+    old_report = report.read_bytes()
+    monkeypatch.setattr(os, "fsync", disk_error)
+    assert main(["verify", "--trials", "4", "--seed", "2", "--out", str(report)]) == 1
+    assert report.read_bytes() == old_report
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv", "model.ck", "verify.txt"]
+
+
+def test_trained_checkpoint_config_is_pinned():
+    # the checkpoint format: every key in order, with its exact spelling
+    g, valid, tcfg, gcfg = toy_setup(epochs=1, seed=8)
+    _, final, _ = train(g, valid, tcfg, gcfg)
+    assert list(final.config.items()) == [
+        ("num_layers", "2"),
+        ("hidden_dim", "4"),
+        ("num_bases", "2"),
+        ("attention_enabled", "true"),
+        ("jk_enabled", "true"),
+        ("edge_dropout_rate", "0.2"),
+        ("input_dim", "8"),
+        ("aggregate_in_neighbors", "false"),
+        ("margin", "2.0"),
+        ("lr", "0.05"),
+        ("l2", "0.0001"),
+        ("clip_norm", "5.0"),
+        ("epochs", "1"),
+        ("eval_every", "1"),
+        ("batch_size", "8"),
+        ("neg_per_pos", "1"),
+        ("hops", "2"),
+        ("seed", "8"),
+        ("labeling", "double_radius"),
+        ("extraction_mode", "enclosing"),
+        ("num_relations", "2"),
+        ("relation.0", "r0"),
+        ("relation.1", "r1"),
+    ]
+
+
+@pytest.mark.parametrize("cfg", [
+    GnnConfig(),
+    GnnConfig(num_layers=1, hidden_dim=7, num_bases=3, attention_enabled=False,
+              jk_enabled=False, edge_dropout_rate=0.1, input_dim=1, aggregate_in_neighbors=True),
+    GnnConfig(edge_dropout_rate=0.0),
+    GnnConfig(edge_dropout_rate=1 / 3),
+    TrainConfig(),
+    TrainConfig(margin=0.1, lr=1e-4, l2=0.0, clip_norm=1e300, epochs=7, eval_every=2,
+                batch_size=1, neg_per_pos=3, hops=1, seed=2**40, labeling="constant",
+                extraction_mode="full_khop"),
+    TrainConfig(lr=3e-17, l2=1e-4, margin=123456.789),
+])
+def test_config_text_round_trips(cfg):
+    text = config_text(cfg)
+    assert list(text) == [f.name for f in dataclasses.fields(cfg)]
+    assert all(isinstance(v, str) for v in text.values())
+    back = config_from_text(type(cfg), text)
+    assert back == cfg
+    assert config_text(back) == text
+    # keys of the other config (as in a checkpoint) are ignored
+    assert config_from_text(type(cfg), {**text, "num_relations": "3", "other": "x"}) == cfg
+
+
+def test_config_from_text_parses_by_the_default_type():
+    cfg = config_from_text(GnnConfig, {"hidden_dim": "5", "jk_enabled": "false",
+                                       "edge_dropout_rate": "0"})
+    assert cfg == GnnConfig(hidden_dim=5, jk_enabled=False, edge_dropout_rate=0.0)
+    assert type(cfg.edge_dropout_rate) is float
+    with pytest.raises(ValueError, match="'jk_enabled' expects true or false"):
+        config_from_text(GnnConfig, {"jk_enabled": "True"})
+    with pytest.raises(ValueError, match="'hidden_dim' expects an integer"):
+        config_from_text(GnnConfig, {"hidden_dim": "4.0"})
+    with pytest.raises(ValueError, match="'lr' expects a number"):
+        config_from_text(TrainConfig, {"lr": "fast"})
+
+
+def test_resume_rejects_a_changed_model_config():
+    g, valid, tcfg, gcfg = toy_setup(epochs=2, seed=10)
+    _, start, _ = train(g, valid, dataclasses.replace(tcfg, epochs=1), gcfg)
+    changed = [
+        ("hidden_dim", None, dataclasses.replace(gcfg, hidden_dim=8)),
+        ("attention_enabled", None, dataclasses.replace(gcfg, attention_enabled=False)),
+        ("aggregate_in_neighbors", None, dataclasses.replace(gcfg, aggregate_in_neighbors=True)),
+        ("edge_dropout_rate", None, dataclasses.replace(gcfg, edge_dropout_rate=0.3)),
+        ("labeling", dataclasses.replace(tcfg, labeling="constant"), None),
+        ("extraction_mode", dataclasses.replace(tcfg, extraction_mode="full_khop"), None),
+    ]
+    for name, t, gc in changed:
+        with pytest.raises(ValueError, match=f"checkpoint has {name}=.* config has {name}="):
+            train(g, valid, t or tcfg, gc or gcfg, start=start)
+    # hops changes the input width, which is the first field that differs
+    with pytest.raises(ValueError, match="checkpoint has input_dim=8 but the config has input_dim=10"):
+        train(g, valid, dataclasses.replace(tcfg, hops=3),
+              dataclasses.replace(gcfg, input_dim=feature_dim(3)), start=start)
+    # another relation vocabulary
+    renamed = from_parts(g.entity_names, ["s0", "s1"], g.triples)
+    with pytest.raises(ValueError, match="relation vocabulary"):
+        train(renamed, valid, tcfg, gcfg, start=start)
+    # epochs, the optimiser and the sampling may change
+    looser = dataclasses.replace(tcfg, lr=0.01, l2=0.0, margin=1.0, clip_norm=9.0,
+                                 batch_size=4, neg_per_pos=2, eval_every=2, seed=11)
+    _, resumed, history = train(g, valid, looser, gcfg, start=start)
+    assert resumed.epoch == 2 and [h["epoch"] for h in history] == [2]
+
+
+def test_checkpoint_tensors_checked_against_config():
+    g, valid, tcfg, gcfg = toy_setup(epochs=1, seed=12)
+    _, final, _ = train(g, valid, tcfg, gcfg)
+    params, _, got_tcfg = model_from_checkpoint(final)
+    assert got_tcfg == tcfg
+    assert all(np.array_equal(t.data, final.tensors[n]) for n, t in params.named_tensors().items())
+
+    edited = Checkpoint({**final.config, "hidden_dim": "32", "jk_enabled": "false"},
+                        final.tensors, final.epoch, final.val_metric)
+    with pytest.raises(ValueError, match=r"'layers.0.bases.0' has shape \(8, 4\) "
+                                         r"but its config gives \(8, 32\)"):
+        model_from_checkpoint(edited)
+    with pytest.raises(ValueError, match="'layers.0.bases.0'"):
+        scorer_from_checkpoint(edited)
+
+    more_relations = Checkpoint({**final.config, "num_relations": "3", "relation.2": "r2"},
+                                final.tensors, final.epoch, final.val_metric)
+    with pytest.raises(ValueError, match=r"'layers.0.coeffs' has shape \(2, 2\) "
+                                         r"but its config gives \(3, 2\)"):
+        model_from_checkpoint(more_relations)
+
+    missing = {k: v for k, v in final.tensors.items() if k != "readout_w"}
+    with pytest.raises(ValueError, match="'readout_w' has shape None"):
+        model_from_checkpoint(Checkpoint(final.config, missing, 1, 0.5))
+    extra = {**final.tensors, "layers.0.bases.2": np.zeros((8, 4))}
+    with pytest.raises(ValueError, match=r"'layers.0.bases.2' has shape \(8, 4\) but its config gives None"):
+        model_from_checkpoint(Checkpoint(final.config, extra, 1, 0.5))
