@@ -223,7 +223,10 @@ def cmd_eval(args) -> int:
             aux = parse_aux_features(_read_file(args.aux_features))
         except ValueError as e:
             raise ConfigError(f"{args.aux_features}: {e}") from e
-    scorer = scorer_from_checkpoint(ck, aux_features=aux)
+    try:
+        scorer = scorer_from_checkpoint(ck, aux_features=aux)
+    except ValueError as e:
+        raise ConfigError(f"{args.checkpoint}: {e}") from e
     g_ind = _load_graph(args.graph)
     test_edges = _parse_edges_against(args.test, g_ind, "test")
     report = evaluate(

@@ -8,8 +8,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .kg import KnowledgeGraph, atomic_open, without_triples
-from .model import GnnConfig, GnnParams, score_triplet
-from .subgraph import extract_enclosing, label_nodes
+from .model import GnnConfig, GnnParams, batch_subgraphs, score_triplet
+from .subgraph import extract_enclosing, feature_dim, label_nodes
 
 
 def auc_pr(pos_scores, neg_scores) -> float:
@@ -85,32 +85,14 @@ def rank_from_scores(pos_score: float, neg_scores) -> int:
     return 1 + greater + ties // 2
 
 
-def rank_triplet(
-    scorer,
-    g: KnowledgeGraph,
-    triple: tuple[int, int, int],
-    num_negatives: int = 50,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """Rank triple against num_negatives sampled corruptions under scorer."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if num_negatives < 1:
-        raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
-    h, r, t = triple
-    negatives = [sample_negative(g, triple, rng) for _ in range(num_negatives)]
-    pos_score = scorer(g, h, r, t)
-    neg_scores = [scorer(g, nh, nr, nt) for nh, nr, nt in negatives]
-    return rank_from_scores(pos_score, neg_scores)
-
-
 class GrailScorer:
     """Applies trained parameters to candidate edges of an arbitrary graph.
 
-    Relations are matched by name against the training vocabulary, so the
-    entity vocabulary of the scored graph is free to be disjoint from
-    training (the inductive setting).  Scoring extracts the candidate's
-    subgraph, labels it, and runs the model with dropout off and no tape.
+    Relations are matched by name against the training vocabulary, and
+    auxiliary features are looked up by entity name, so the entity
+    vocabulary of the scored graph is free to be disjoint from training (the
+    inductive setting).  A call scores a list of candidates as one disjoint
+    union of their labeled subgraphs, with dropout off and no tape.
     """
 
     def __init__(
@@ -123,60 +105,63 @@ class GrailScorer:
         mode: str = "enclosing",
         aux_features: dict[str, np.ndarray] | None = None,
     ) -> None:
+        aux_dim = next(iter(aux_features.values())).shape[0] if aux_features else 0
+        if cfg.input_dim != feature_dim(hops, aux_dim):
+            raise ValueError(
+                f"model input_dim {cfg.input_dim} needs aux width "
+                f"{cfg.input_dim - feature_dim(hops)} at hops={hops}, "
+                f"but the aux features have width {aux_dim}"
+            )
         self.params = params
         self.cfg = cfg
-        self.relation_names = list(relation_names)
         self.relation_ids = {n: i for i, n in enumerate(relation_names)}
         self.hops = hops
         self.labeling = labeling
         self.mode = mode
         self.aux_features = aux_features
-        self._rel_maps: dict[tuple[str, ...], list[int]] = {}
-        self._aux_maps: dict[tuple[str, ...], dict[int, np.ndarray]] = {}
-        self.forbidden_edges: set[tuple[str, str, str]] | None = None
 
-    def set_forbidden_edges(self, name_triples: set[tuple[str, str, str]] | None) -> None:
-        self.forbidden_edges = name_triples
+    def _aux_by_id(self, g: KnowledgeGraph, nodes: list[int]) -> dict[int, np.ndarray] | None:
+        if self.aux_features is None:
+            return None
+        try:
+            return {n: self.aux_features[g.entity_names[n]] for n in nodes}
+        except KeyError as e:
+            raise ValueError(f"auxiliary features missing entity {e.args[0]!r}") from None
 
-    def prepare(self, g: KnowledgeGraph) -> None:
-        key = tuple(g.relation_names)
-        if key not in self._rel_maps:
-            unknown = [n for n in g.relation_names if n not in self.relation_ids]
-            if unknown:
-                raise ValueError(
-                    "graph relations absent from model vocabulary: " + ", ".join(sorted(unknown))
-                )
-            self._rel_maps[key] = [self.relation_ids[n] for n in g.relation_names]
-        ekey = tuple(g.entity_names)
-        if self.aux_features is not None and ekey not in self._aux_maps:
-            self._aux_maps[ekey] = {
-                g.entity_ids[nm]: vec
-                for nm, vec in self.aux_features.items()
-                if nm in g.entity_ids
-            }
+    def __call__(
+        self,
+        g: KnowledgeGraph,
+        candidates: list[tuple[int, int, int]],
+        held_out: set[tuple[int, int, int]],
+    ) -> list[float]:
+        """Scores of candidates (h, r, t) of g, in order.
 
-    def __call__(self, g: KnowledgeGraph, h: int, r: int, t: int) -> float:
-        self.prepare(g)
-        rel_map = self._rel_maps[tuple(g.relation_names)]
-        sub = extract_enclosing(g, h, t, r, self.hops, self.mode)
-        if self.forbidden_edges:
+        held_out holds id triples of g that must not reach message passing:
+        an AssertionError names the first one found in a candidate's
+        subgraph other than as the candidate edge itself.
+        """
+        unknown = [n for n in g.relation_names if n not in self.relation_ids]
+        if unknown:
+            raise ValueError(
+                "graph relations absent from model vocabulary: " + ", ".join(sorted(unknown))
+            )
+        subs = []
+        for h, r, t in candidates:
+            sub = extract_enclosing(g, h, t, r, self.hops, self.mode)
+            sub = label_nodes(sub, self.labeling, self._aux_by_id(g, sub.nodes))
             for pos, (lh, lr, lt) in enumerate(sub.edges):
-                if pos == sub.target_edge_pos:
-                    continue
-                name_trip = (
-                    g.entity_names[sub.nodes[lh]],
-                    g.relation_names[lr],
-                    g.entity_names[sub.nodes[lt]],
-                )
-                if name_trip in self.forbidden_edges:
-                    raise AssertionError(f"held-out edge leaked into message passing: {name_trip}")
-        edges = [(lh, rel_map[lr], lt) for lh, lr, lt in sub.edges]
-        sub.edges = edges
-        sub.target = (sub.target[0], rel_map[sub.target[1]], sub.target[2])
-        aux = self._aux_maps.get(tuple(g.entity_names)) if self.aux_features is not None else None
-        sub = label_nodes(sub, self.labeling, aux)
+                edge = (sub.nodes[lh], lr, sub.nodes[lt])
+                if pos != sub.target_edge_pos and edge in held_out:
+                    names = (g.entity_names[edge[0]], g.relation_names[lr], g.entity_names[edge[2]])
+                    raise AssertionError(f"held-out edge leaked into message passing: {names}")
+            subs.append(sub)
+        batch = batch_subgraphs(subs)
+        rel_map = np.array([self.relation_ids[n] for n in g.relation_names], dtype=np.intp)
+        batch.edges[:, 1] = rel_map[batch.edges[:, 1]]
+        batch.edge_target_rels = rel_map[batch.edge_target_rels]
+        batch.target_rels = rel_map[batch.target_rels]
         with ad.no_grad():
-            return score_triplet(sub, self.params, self.cfg).item()
+            return score_triplet(batch, self.params, self.cfg).data[:, 0].tolist()
 
 
 @dataclass
@@ -217,7 +202,10 @@ def evaluate(
     AUC-PR uses one sampled corruption per positive; Hits@10 ranks each
     positive among num_negatives corruptions.  All negatives are drawn up
     front from seeded streams, so results are reproducible bit-for-bit for a
-    given seed.  A scorer's forbidden-edge set lives only for this call.
+    given seed.  scorer(graph, candidates, held_out) returns one score per
+    candidate; it is called once per scoreable test edge, with candidates
+    [positive, AUC negative, *rank negatives] and held_out the test edges,
+    which the message graph keeps out of every subgraph.
     """
     if not test_edges:
         raise ValueError("no test edges to evaluate")
@@ -233,37 +221,17 @@ def evaluate(
         [sample_negative(msg_graph, trip, rng_rank) for _ in range(num_negatives)]
         for trip in scoreable
     ]
-    if hasattr(scorer, "set_forbidden_edges"):
-        names = {
-            (
-                g_ind_test.entity_names[h],
-                g_ind_test.relation_names[r],
-                g_ind_test.entity_names[t],
-            )
-            for h, r, t in test_edges
-        }
-        scorer.set_forbidden_edges(names)
-    try:
-        if hasattr(scorer, "prepare"):
-            scorer.prepare(msg_graph)
-        results = [
-            (
-                scorer(msg_graph, *trip),
-                scorer(msg_graph, *auc_neg),
-                [scorer(msg_graph, *nt) for nt in negs],
-            )
-            for trip, auc_neg, negs in zip(scoreable, auc_negs, rank_negs)
-        ]
-    finally:
-        if hasattr(scorer, "set_forbidden_edges"):
-            scorer.set_forbidden_edges(None)
-
+    held_out = set(test_edges)
+    results = [
+        scorer(msg_graph, [trip, auc_neg, *negs], held_out)
+        for trip, auc_neg, negs in zip(scoreable, auc_negs, rank_negs)
+    ]
     pos_scores = [res[0] for res in results]
     neg_scores = [res[1] for res in results]
     records = []
     hits = 0
-    for trip, (pos, _, negs) in zip(scoreable, results):
-        rank = rank_from_scores(pos, negs)
+    for trip, pos, res in zip(scoreable, pos_scores, results):
+        rank = rank_from_scores(pos, res[2:])
         if rank <= 10:
             hits += 1
         h, r, t = trip

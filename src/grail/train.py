@@ -393,13 +393,11 @@ def train(
     aux_ids = None
     aux_dim = 0
     if aux_features is not None:
-        aux_ids = {
-            g_train.entity_ids[nm]: vec
-            for nm, vec in aux_features.items()
-            if nm in g_train.entity_ids
-        }
-        dims = {v.shape[0] for v in aux_features.values()}
-        aux_dim = dims.pop() if len(dims) == 1 else 0
+        missing = next((nm for nm in g_train.entity_names if nm not in aux_features), None)
+        if missing is not None:
+            raise ValueError(f"auxiliary features missing entity {missing!r}")
+        aux_ids = dict(enumerate(aux_features[nm] for nm in g_train.entity_names))
+        aux_dim = aux_ids[0].shape[0]
     expected_dim = feature_dim(tcfg.hops, aux_dim)
     if gcfg.input_dim != expected_dim:
         raise ValueError(

@@ -137,7 +137,10 @@ def test_train_and_evaluate_score_through_the_traced_entry_points(monkeypatch):
 
     calls.clear()
     evaluate(scorer_from_checkpoint(best), g, test, num_negatives=4, seed=0)
-    assert calls == [(cfg.num_layers, 1, False)] * (len(test) * (2 + 4))
+    # one untaped call per test edge: the positive, its AUC negative and its rank negatives
+    assert calls == [(cfg.num_layers, 2 + 4, False)] * len(test)
+    # the tracer patches this name on the class; without it, it would wrap type.__call__
+    assert "__call__" in vars(GrailScorer)
 
 
 def test_scorer_score_is_bit_identical_to_the_taped_score_and_has_no_parents(monkeypatch):
@@ -154,14 +157,17 @@ def test_scorer_score_is_bit_identical_to_the_taped_score_and_has_no_parents(mon
         return out
 
     monkeypatch.setattr(sys.modules["grail.evaluate"], "score_triplet", keep)
-    for h, r, t in g.triples[:10]:
-        if h == t:
-            continue
-        got = scorer(g, h, r, t)
-        taped = score_triplet(label_nodes(extract_enclosing(g, h, t, r, K)), params, cfg)
-        assert taped._parents and taped.requires_grad
-        assert got == taped.item()
-        assert returned[-1]._parents == () and not returned[-1].requires_grad
+    candidates = [(h, r, t) for h, r, t in g.triples[:10] if h != t]
+    got = scorer(g, candidates, set())
+    assert len(returned) == 1
+    assert returned[0]._parents == () and not returned[0].requires_grad
+    subs = [label_nodes(extract_enclosing(g, h, t, r, K)) for h, r, t in candidates]
+    taped = score_triplet(batch_subgraphs(subs), params, cfg)
+    assert taped._parents and taped.requires_grad
+    assert got == taped.data[:, 0].tolist()
+    for score, sub in zip(got, subs):
+        alone = score_triplet(sub, params, cfg).item()
+        assert abs(score - alone) <= 1e-12 * max(1.0, abs(alone))
 
 
 def test_batch_needs_members_and_labels():

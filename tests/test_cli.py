@@ -109,6 +109,48 @@ def test_eval_outputs(workdir, tmp_path):
         assert os.path.getsize(os.path.join(out, name)) > 0
 
 
+@pytest.fixture(scope="module")
+def aux_run(workdir, tmp_path_factory):
+    """A checkpoint trained with width-2 aux features on the shared split."""
+    root = tmp_path_factory.mktemp("aux")
+    source = load_triples_file(workdir["src"])
+    aux = str(root / "aux.tsv")
+    open(aux, "w").write("".join(f"{name}\t{i % 3}.5,{-i}\n"
+                                 for i, name in enumerate(source.entity_names)))
+    ck = str(root / "aux.ck")
+    assert main(["train", "--train", os.path.join(workdir["bench"], "train.txt"),
+                 "--valid", os.path.join(workdir["bench"], "valid.txt"),
+                 "--config", workdir["cfg"], "--out", ck, "--aux-features", aux]) == 0
+    return {"aux": aux, "ck": ck}
+
+
+def test_eval_with_aux_features(workdir, aux_run, tmp_path):
+    out = str(tmp_path / "eval")
+    code = main(["eval", "--checkpoint", aux_run["ck"],
+                 "--graph", os.path.join(workdir["bench"], "ind_test_graph.txt"),
+                 "--test", os.path.join(workdir["bench"], "test.txt"),
+                 "--config", workdir["cfg"], "--out-dir", out,
+                 "--aux-features", aux_run["aux"]])
+    assert code == 0
+    assert "auc_pr=" in open(os.path.join(out, "report.txt")).read()
+
+
+def test_eval_aux_width_mismatch_exit_2(workdir, aux_run, tmp_path, capsys):
+    # the graph path does not exist: the width check comes before it is read
+    missing_graph = str(tmp_path / "no_graph.txt")
+    for ck, aux, widths in ((aux_run["ck"], [], ("aux width 2", "width 0")),
+                            (workdir["ck"], ["--aux-features", aux_run["aux"]],
+                             ("aux width 0", "width 2"))):
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", ck, "--graph", missing_graph,
+                     "--test", os.path.join(workdir["bench"], "test.txt"),
+                     "--config", workdir["cfg"], "--out-dir", str(tmp_path / "x"), *aux])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(w in err for w in widths), err
+    assert not os.path.exists(tmp_path / "x")
+
+
 def test_train_resume_cli_bit_exact(workdir, tmp_path):
     bench = workdir["bench"]
     cfg4 = str(tmp_path / "four.cfg")

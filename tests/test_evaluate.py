@@ -1,5 +1,7 @@
 """AUC-PR, ranking, inductive evaluation, score files, and late fusion."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,16 +16,16 @@ from grail.evaluate import (
     parse_labels_file,
     parse_score_file,
     rank_from_scores,
-    rank_triplet,
     sample_negative,
     write_labels_file,
     write_report,
     write_scores_file,
     write_triplet_csv,
 )
-from grail.kg import load_triples
-from grail.model import GnnConfig, init_params
-from grail.subgraph import feature_dim
+from grail.kg import from_parts, load_triples, without_triples
+from grail.model import GnnConfig, init_params, score_triplet
+from grail.subgraph import extract_enclosing, feature_dim, label_nodes
+from grail.train import TrainConfig, model_from_checkpoint, scorer_from_checkpoint, train
 
 from oracles import auc_pr_reference, random_kg
 
@@ -112,20 +114,6 @@ def test_rank_from_scores():
     assert rank_from_scores(1.0, [2.0, 1.0, 1.0]) == 3
 
 
-def test_rank_triplet_with_lookup_scorer():
-    rng = np.random.default_rng(4)
-    g = random_kg(rng, 10, 2, 40)
-    true = set(g.triples)
-
-    def scorer(graph, h, r, t):
-        return 1.0 if (h, r, t) in true else 0.0
-
-    assert rank_triplet(scorer, g, g.triples[0], num_negatives=20,
-                        rng=np.random.default_rng(0)) == 1
-    with pytest.raises(ValueError, match="num_negatives"):
-        rank_triplet(scorer, g, g.triples[0], num_negatives=0)
-
-
 def scorer_fixture(relations, hops=2, seed=0):
     cfg = GnnConfig(num_layers=2, hidden_dim=4, num_bases=2,
                     edge_dropout_rate=0.0, input_dim=feature_dim(hops))
@@ -137,8 +125,8 @@ def test_scorer_matches_relations_by_name():
     scorer = scorer_fixture(["p", "q"])
     g1 = load_triples("a\tp\tb\nb\tq\tc\nc\tp\td\n")
     g2 = load_triples("b\tq\tc\na\tp\tb\nc\tp\td\n")  # same edges, ids permuted
-    s1 = scorer(g1, g1.entity_ids["a"], g1.relation_ids["p"], g1.entity_ids["b"])
-    s2 = scorer(g2, g2.entity_ids["a"], g2.relation_ids["p"], g2.entity_ids["b"])
+    s1 = scorer(g1, [(g1.entity_ids["a"], g1.relation_ids["p"], g1.entity_ids["b"])], set())
+    s2 = scorer(g2, [(g2.entity_ids["a"], g2.relation_ids["p"], g2.entity_ids["b"])], set())
     assert s1 == s2
 
 
@@ -146,17 +134,19 @@ def test_scorer_rejects_unknown_relation():
     scorer = scorer_fixture(["p"])
     g = load_triples("a\tp\tb\nb\tz\tc\n")
     with pytest.raises(ValueError, match="absent from model vocabulary"):
-        scorer(g, 0, 0, 1)
+        scorer(g, [(0, 0, 1)], set())
 
 
 def test_scorer_forbidden_edge_assertion():
     scorer = scorer_fixture(["p", "q"])
     g = load_triples("a\tp\tb\nb\tp\tc\na\tq\tc\n")
-    scorer.set_forbidden_edges({("a", "p", "b")})
-    with pytest.raises(AssertionError, match="leaked into message passing"):
-        scorer(g, g.entity_ids["a"], g.relation_ids["q"], g.entity_ids["c"])
-    scorer.set_forbidden_edges(None)
-    assert np.isfinite(scorer(g, g.entity_ids["a"], g.relation_ids["q"], g.entity_ids["c"]))
+    a, b, c = (g.entity_ids[n] for n in "abc")
+    p, q = g.relation_ids["p"], g.relation_ids["q"]
+    with pytest.raises(AssertionError, match=r"leaked into message passing: \('a', 'p', 'b'\)"):
+        scorer(g, [(a, q, c)], {(a, p, b)})
+    # the candidate edge itself may be held out: it is what is scored
+    assert np.all(np.isfinite(scorer(g, [(a, q, c)], {(a, q, c)})))
+    assert np.all(np.isfinite(scorer(g, [(a, q, c)], set())))
 
 
 def test_failed_evaluate_clears_forbidden_edges():
@@ -167,7 +157,49 @@ def test_failed_evaluate_clears_forbidden_edges():
         evaluate(scorer, g, [test_edge], num_negatives=2)
     # another graph whose subgraph holds (a, p, c) scores without a leak error
     g2 = load_triples("a\tp\tc\nc\tp\tb\na\tq\tb\n")
-    assert np.isfinite(scorer(g2, g2.entity_ids["a"], g2.relation_ids["q"], g2.entity_ids["b"]))
+    cand = (g2.entity_ids["a"], g2.relation_ids["q"], g2.entity_ids["b"])
+    assert np.isfinite(scorer(g2, [cand], set())[0])
+
+
+def test_evaluate_leak_check_fires_when_test_edges_stay_in_the_graph(monkeypatch):
+    g = random_kg(np.random.default_rng(11), 8, 2, 40)
+    scorer = scorer_fixture(g.relation_names)
+    test_edges = g.triples[:6]
+    evaluate(scorer, g, test_edges, num_negatives=3, seed=0)
+    monkeypatch.setattr(sys.modules["grail.evaluate"], "without_triples", lambda graph, _: graph)
+    with pytest.raises(AssertionError, match="held-out edge leaked into message passing"):
+        evaluate(scorer, g, test_edges, num_negatives=3, seed=0)
+
+
+def test_aux_features_are_looked_up_by_entity_name():
+    rng = np.random.default_rng(12)
+    g = random_kg(rng, 12, 2, 50)
+    aux = {name: rng.standard_normal(3) for name in g.entity_names}
+    tcfg = TrainConfig(margin=2.0, lr=0.05, epochs=1, batch_size=8, hops=2, seed=3)
+    gcfg = GnnConfig(num_layers=2, hidden_dim=4, num_bases=2, edge_dropout_rate=0.2,
+                     input_dim=feature_dim(2, 3))
+    best, _, _ = train(g, g.triples[:3], tcfg, gcfg, aux_features=aux)
+    # the same graph, its entity ids permuted against the order of the aux table
+    perm = [int(i) for i in rng.permutation(g.num_entities)]
+    new_id = {old: new for new, old in enumerate(perm)}
+    g2 = from_parts([g.entity_names[old] for old in perm], g.relation_names,
+                    [(new_id[h], r, new_id[t]) for h, r, t in g.triples])
+    test_edges = g2.triples[:4]
+    report = evaluate(scorer_from_checkpoint(best, aux), g2, test_edges, num_negatives=3, seed=0)
+    params, gcfg, _ = model_from_checkpoint(best)
+    msg = without_triples(g2, test_edges)
+    aux_by_id = {g2.entity_ids[name]: vec for name, vec in aux.items()}
+    assert len(report.records) == 2 * len(test_edges)
+    for rec in report.records:
+        h, r, t = g2.entity_ids[rec["head"]], g2.relation_ids[rec["rel"]], g2.entity_ids[rec["tail"]]
+        sub = label_nodes(extract_enclosing(msg, h, t, r, 2), aux_features=aux_by_id)
+        expect = score_triplet(sub, params, gcfg).item()
+        assert abs(rec["score"] - expect) <= 1e-12 * max(1.0, abs(expect))
+    # an entity without a vector is named
+    name = g2.entity_names[test_edges[0][0]]
+    partial = {k: v for k, v in aux.items() if k != name}
+    with pytest.raises(ValueError, match=f"auxiliary features missing entity '{name}'"):
+        evaluate(scorer_from_checkpoint(best, partial), g2, test_edges, num_negatives=3)
 
 
 def test_evaluate_removes_test_edges_before_scoring():
@@ -175,8 +207,9 @@ def test_evaluate_removes_test_edges_before_scoring():
     g = random_kg(rng, 10, 2, 40)
     test_edges = g.triples[:4]
 
-    def scorer(graph, h, r, t):
-        return float(len(graph.triples))
+    def scorer(graph, candidates, held_out):
+        assert held_out == set(test_edges)
+        return [float(len(graph.triples))] * len(candidates)
 
     report = evaluate(scorer, g, test_edges, num_negatives=5, seed=0)
     for rec in report.records:
@@ -189,8 +222,8 @@ def test_evaluate_perfect_scorer():
     test_edges = [t for t in g.triples[:5]]
     truth = set(test_edges)
 
-    def scorer(graph, h, r, t):
-        return 1.0 if (h, r, t) in truth else 0.0
+    def scorer(graph, candidates, held_out):
+        return [1.0 if cand in truth else 0.0 for cand in candidates]
 
     report = evaluate(scorer, g, test_edges, num_negatives=20, seed=1)
     assert report.auc_pr == 1.0
@@ -202,7 +235,8 @@ def test_evaluate_perfect_scorer():
 def test_evaluate_constant_scorer():
     rng = np.random.default_rng(7)
     g = random_kg(rng, 12, 2, 50)
-    report = evaluate(lambda *a: 0.0, g, g.triples[:6], num_negatives=50, seed=2)
+    report = evaluate(lambda g, cands, held: [0.0] * len(cands), g, g.triples[:6],
+                      num_negatives=50, seed=2)
     assert report.auc_pr == pytest.approx(0.5)  # prevalence with 1 neg per pos
     # rank of a fully tied positive among 50 negatives is 26
     assert report.hits_at_10 == 0.0
@@ -212,17 +246,19 @@ def test_evaluate_skips_self_loops():
     g = load_triples("a\tr\tb\nb\tr\tc\nc\tr\ta\nd\tr\td\na\tr\tc\n")
     test_edges = [(g.entity_ids["d"], 0, g.entity_ids["d"]),
                   (g.entity_ids["a"], 0, g.entity_ids["c"])]
-    report = evaluate(lambda *a: 1.0, g, test_edges, num_negatives=2, seed=0)
+    report = evaluate(lambda g, cands, held: [1.0] * len(cands), g, test_edges,
+                      num_negatives=2, seed=0)
     assert report.skipped_self_loops == 1
     assert report.num_test == 1
     with pytest.raises(ValueError, match="self-loops"):
-        evaluate(lambda *a: 1.0, g, [test_edges[0]], num_negatives=2, seed=0)
+        evaluate(lambda g, cands, held: [1.0] * len(cands), g, [test_edges[0]],
+                 num_negatives=2, seed=0)
 
 
 def test_evaluate_input_validation():
     g = load_triples("a\tr\tb\nb\tr\tc\n")
     with pytest.raises(ValueError, match="no test edges"):
-        evaluate(lambda *a: 1.0, g, [], num_negatives=2)
+        evaluate(lambda g, cands, held: [1.0] * len(cands), g, [], num_negatives=2)
 
 
 def test_report_files_roundtrip(tmp_path):

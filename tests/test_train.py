@@ -258,6 +258,18 @@ def test_train_input_validation():
         train(from_parts(["a"], ["r"], []), valid, tcfg, gcfg)
 
 
+def test_train_names_an_entity_without_aux_features_before_epoch_1():
+    # e's only edge is a self-loop, so only a corrupted negative can reach it
+    g = load_triples("a\tr\tb\nb\tr\tc\nc\tr\td\nd\tr\ta\na\tr\tc\ne\tr\te\n")
+    aux = {name: np.ones(2) for name in "abcd"}
+    tcfg = TrainConfig(margin=2.0, epochs=1, batch_size=4, hops=2, seed=0)
+    gcfg = GnnConfig(num_layers=1, hidden_dim=4, num_bases=1, input_dim=feature_dim(2, 2))
+    logged = []
+    with pytest.raises(ValueError, match="auxiliary features missing entity 'e'"):
+        train(g, g.triples[:2], tcfg, gcfg, aux_features=aux, log_fn=logged.append)
+    assert logged == []
+
+
 def test_checkpoint_config_reconstruction():
     g, valid, tcfg, gcfg = toy_setup(epochs=1, seed=8)
     _, final, _ = train(g, valid, tcfg, gcfg)
@@ -271,11 +283,10 @@ def test_scorer_from_checkpoint_strips_adam(tmp_path):
     _, final, _ = train(g, valid, tcfg, gcfg)
     assert any(k.startswith("adam.") for k in final.tensors)
     scorer = scorer_from_checkpoint(final)
-    h, r, t = g.triples[0]
-    score = scorer(g, h, r, t)
-    assert np.isfinite(score)
+    score = scorer(g, g.triples[:1], set())
+    assert np.isfinite(score[0])
     # evaluation path ignores dropout: scoring twice is identical
-    assert scorer(g, h, r, t) == score
+    assert scorer(g, g.triples[:1], set()) == score
 
 
 def test_loss_log_roundtrip(tmp_path):
