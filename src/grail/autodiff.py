@@ -125,11 +125,6 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")

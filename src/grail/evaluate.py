@@ -149,7 +149,7 @@ class GrailScorer:
         for h, r, t in candidates:
             sub = extract_enclosing(g, h, t, r, self.hops, self.mode)
             sub = label_nodes(sub, self.labeling, self._aux_by_id(g, sub.nodes))
-            for pos, (lh, lr, lt) in enumerate(sub.edges):
+            for pos, (lh, lr, lt) in enumerate(sub.edges.tolist()):
                 edge = (sub.nodes[lh], lr, sub.nodes[lt])
                 if pos != sub.target_edge_pos and edge in held_out:
                     names = (g.entity_names[edge[0]], g.relation_names[lr], g.entity_names[edge[2]])

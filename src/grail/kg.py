@@ -220,10 +220,3 @@ def khop_nodes(g: KnowledgeGraph, node: int, k: int) -> set[int]:
                 frontier.append((nxt, d + 1))
     return seen
 
-
-def graphs_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
-    return (
-        a.entity_names == b.entity_names
-        and a.relation_names == b.relation_names
-        and a.triples == b.triples
-    )

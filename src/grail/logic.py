@@ -18,8 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .kg import KnowledgeGraph, from_parts, out_neighbors, to_lines
-from .model import GnnConfig, GnnParams, LayerParams, layer_forward
-from .subgraph import LabeledSubgraph
+from .model import GnnConfig, GnnParams, LayerParams, SubgraphBatch, layer_forward
 
 __all__ = [
     "PathRule",
@@ -182,18 +181,21 @@ def score_rule_construction(
     if params is None or cfg is None:
         params, cfg = construct_rule_params(rule, g.num_relations)
     n = g.num_entities
-    shim = LabeledSubgraph(
-        nodes=list(range(n)),
-        local_index={i: i for i in range(n)},
-        edges=list(g.triples),
-        target=(u, rule.head, v),
-        target_edge_pos=-1,  # nothing appended; scoring leaves the graph intact
-        k=len(rule.body),
+    edges = np.array(g.triples, dtype=np.intp).reshape(-1, 3)
+    graph = SubgraphBatch(
+        edges=edges,
+        edge_target_rels=np.full(len(edges), rule.head, dtype=np.intp),
+        node_member=np.zeros(n, dtype=np.intp),
+        member_sizes=np.array([n]),
+        u_rows=np.array([u]),
+        v_rows=np.array([v]),
+        target_rels=np.array([rule.head]),
+        features=None,
     )
     h = ad.constant(np.zeros((n, 1)))
     h.data[u, 0] = 1.0
     for layer in range(cfg.num_layers):
-        h = layer_forward(shim, h, layer, params, cfg, snap_alpha=True)
+        h = layer_forward(graph, h, layer, params, cfg, snap_alpha=True)
     return float(h.data[v, 0])
 
 

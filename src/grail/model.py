@@ -194,7 +194,7 @@ def batch_subgraphs(subs: list[LabeledSubgraph]) -> SubgraphBatch:
     sizes = np.array([s.num_nodes for s in subs], dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
     edge_counts = np.array([len(s.edges) for s in subs], dtype=np.intp)
-    edges = np.array([e for s in subs for e in s.edges], dtype=np.intp).reshape(-1, 3)
+    edges = np.concatenate([s.edges for s in subs])
     edge_starts = np.repeat(starts, edge_counts)
     edges[:, 0] += edge_starts
     edges[:, 2] += edge_starts
@@ -229,7 +229,7 @@ def _attention(
 
 
 def layer_forward(
-    sub: LabeledSubgraph | SubgraphBatch,
+    batch: SubgraphBatch,
     h_prev: Tensor,
     layer: int,
     params: GnnParams,
@@ -243,7 +243,6 @@ def layer_forward(
     (t, r, s) sends W_r h_s into t); with cfg.aggregate_in_neighbors messages
     flow along edge direction instead (edge (s, r, t) sends into t).
     """
-    batch = sub if isinstance(sub, SubgraphBatch) else batch_subgraphs([sub])
     lp = params.layers[layer]
     heads, rels, tails = batch.edges.T
     senders, receivers = (heads, tails) if cfg.aggregate_in_neighbors else (tails, heads)

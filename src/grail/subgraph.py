@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -20,18 +22,19 @@ class LabeledSubgraph:
     """A candidate edge's local neighborhood with positional node features.
 
     Nodes are original graph ids in canonical order (u, v, then ascending);
-    edges are directed triples over local indices.  The scored candidate edge
-    appears in `edges` exactly once, at position `target_edge_pos`.
+    edges are (E, 3) directed (head, relation, tail) rows over local indices.
+    The scored candidate edge appears in `edges` exactly once, at position
+    `target_edge_pos`.  dist_u/dist_v are the double-radius distances of
+    each node; features are set by label_nodes.
     """
 
     nodes: list[int]
-    local_index: dict[int, int]
-    edges: list[tuple[int, int, int]]
+    edges: np.ndarray
     target: tuple[int, int, int]
     target_edge_pos: int
     k: int
-    dist_u: list[int] | None = None
-    dist_v: list[int] | None = None
+    dist_u: list[int]
+    dist_v: list[int]
     features: np.ndarray | None = None
 
     @property
@@ -84,6 +87,13 @@ def extract_enclosing(
 
     full_khop: union of the two k-hop neighborhoods, no pruning.
 
+    Both modes keep the distances of the final node set as the
+    double-radius labels: each one is a shortest undirected path in the
+    subgraph with the other target node removed, capped at k + 1 (which
+    unreachable nodes get too), and the targets themselves are pinned to
+    (0, 1) and (1, 0) so the model can identify them.  The candidate edge
+    never shortens a path, since each search removes one of its ends.
+
     The candidate edge is appended to the edge list if not already induced,
     so message passing can always see it.
     """
@@ -102,13 +112,12 @@ def extract_enclosing(
     keep = nu | nv if mode == "full_khop" else (nu & nv) | {u, v}
     while True:
         nodes = [u, v] + sorted(keep - {u, v})
-        local_index = {n: i for i, n in enumerate(nodes)}
-        edges = _induced_edges(g, local_index)
-        if mode == "full_khop":
-            break
+        edges = _induced_edges(g, {n: i for i, n in enumerate(nodes)})
         adj = _undirected_adjacency(len(nodes), edges)
         du = _bfs_without(adj, 0, 1)
         dv = _bfs_without(adj, 1, 0)
+        if mode == "full_khop":
+            break
         pruned = {
             n
             for i, n in enumerate(nodes[2:], start=2)
@@ -118,7 +127,12 @@ def extract_enclosing(
             break
         keep -= pruned
 
-    target = (local_index[u], r_t, local_index[v])
+    cap = k + 1
+    dist_u = [cap if d == UNREACHABLE else min(d, cap) for d in du]
+    dist_v = [cap if d == UNREACHABLE else min(d, cap) for d in dv]
+    dist_u[0], dist_v[0] = 0, 1
+    dist_u[1], dist_v[1] = 1, 0
+    target = (0, r_t, 1)
     try:
         pos_t = edges.index(target)
     except ValueError:
@@ -126,11 +140,12 @@ def extract_enclosing(
         pos_t = len(edges) - 1
     return LabeledSubgraph(
         nodes=nodes,
-        local_index=local_index,
-        edges=edges,
+        edges=np.fromiter(chain.from_iterable(edges), np.intp, 3 * len(edges)).reshape(-1, 3),
         target=target,
         target_edge_pos=pos_t,
         k=k,
+        dist_u=dist_u,
+        dist_v=dist_v,
     )
 
 
@@ -149,55 +164,42 @@ def _induced_edges(g: KnowledgeGraph, local_index: dict[int, int]) -> list[tuple
 def label_nodes(
     sub: LabeledSubgraph,
     scheme: str = "double_radius",
-    aux_features: dict[int, np.ndarray] | None = None,
+    aux_features: Mapping[int, np.ndarray] | None = None,
 ) -> LabeledSubgraph:
-    """Attach per-node distance labels and one-hot features.
+    """Attach one-hot node features; dist_u/dist_v stay as extracted.
 
-    double_radius: node i gets (d(i, u), d(i, v)) where each distance is a
-    shortest undirected path in the subgraph with the other target node
-    removed, capped at k + 1 when unreachable.  The targets themselves are
-    pinned to (0, 1) and (1, 0) so the model can identify them.
+    double_radius: node i is encoded by its (dist_u[i], dist_v[i]).
 
-    constant: every node gets (1, 1); an ablation that erases position.
+    constant: every node is encoded as (1, 1); an ablation that erases
+    position.
 
     Features are one-hot(dist_u) ++ one-hot(dist_v) over values 0..k+1,
-    length 2 * (k + 2), with optional auxiliary vectors appended.
+    length 2 * (k + 2), with optional auxiliary vectors appended; only the
+    subgraph's own entities are looked up in aux_features.
     """
     if scheme not in LABEL_SCHEMES:
         raise ValueError(f"unknown labeling scheme {scheme!r}, expected one of {LABEL_SCHEMES}")
-    k = sub.k
-    cap = k + 1
     n = sub.num_nodes
-    lu, _, lv = sub.target
-    if scheme == "constant":
-        dist_u = [1] * n
-        dist_v = [1] * n
-    else:
-        adj = _undirected_adjacency(n, sub.edges)
-        du = _bfs_without(adj, lu, lv)
-        dv = _bfs_without(adj, lv, lu)
-        dist_u = [cap if d == UNREACHABLE else min(d, cap) for d in du]
-        dist_v = [cap if d == UNREACHABLE else min(d, cap) for d in dv]
-        dist_u[lu], dist_v[lu] = 0, 1
-        dist_u[lv], dist_v[lv] = 1, 0
-    width = k + 2
+    width = sub.k + 2
     feats = np.zeros((n, 2 * width), dtype=np.float64)
-    for i in range(n):
-        feats[i, dist_u[i]] = 1.0
-        feats[i, width + dist_v[i]] = 1.0
+    if scheme == "constant":
+        feats[:, [1, width + 1]] = 1.0
+    else:
+        for i, (du, dv) in enumerate(zip(sub.dist_u, sub.dist_v)):
+            feats[i, du] = 1.0
+            feats[i, width + dv] = 1.0
     if aux_features is not None:
-        dims = {a.shape[0] for a in aux_features.values()}
-        if len(dims) > 1:
-            raise ValueError(f"auxiliary feature vectors have mixed dimensions {sorted(dims)}")
-        aux_dim = dims.pop() if dims else 0
-        aux = np.zeros((n, aux_dim), dtype=np.float64)
-        for i, orig in enumerate(sub.nodes):
+        aux = []
+        for orig in sub.nodes:
             vec = aux_features.get(orig)
             if vec is None:
                 raise ValueError(f"auxiliary features missing entity id {orig}")
-            aux[i] = vec
-        feats = np.concatenate([feats, aux], axis=1)
-    return replace(sub, dist_u=dist_u, dist_v=dist_v, features=feats)
+            aux.append(vec)
+        dims = {a.shape[0] for a in aux}
+        if len(dims) > 1:
+            raise ValueError(f"auxiliary feature vectors have mixed dimensions {sorted(dims)}")
+        feats = np.concatenate([feats, np.array(aux, dtype=np.float64)], axis=1)
+    return replace(sub, features=feats)
 
 
 def feature_dim(k: int, aux_dim: int = 0) -> int:

@@ -398,6 +398,12 @@ def train(
             raise ValueError(f"auxiliary features missing entity {missing!r}")
         aux_ids = dict(enumerate(aux_features[nm] for nm in g_train.entity_names))
         aux_dim = aux_ids[0].shape[0]
+        odd = next((i for i, vec in aux_ids.items() if vec.shape[0] != aux_dim), None)
+        if odd is not None:
+            raise ValueError(
+                f"auxiliary features of entity {g_train.entity_names[odd]!r} have width "
+                f"{aux_ids[odd].shape[0]}, but {g_train.entity_names[0]!r} has width {aux_dim}"
+            )
     expected_dim = feature_dim(tcfg.hops, aux_dim)
     if gcfg.input_dim != expected_dim:
         raise ValueError(

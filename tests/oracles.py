@@ -42,6 +42,19 @@ def undirected_dist_matrix(n: int, edges) -> np.ndarray:
     return d
 
 
+def graphs_equal(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
+    return (
+        a.entity_names == b.entity_names
+        and a.relation_names == b.relation_names
+        and a.triples == b.triples
+    )
+
+
+def zero_grads(tensors) -> None:
+    for t in tensors:
+        t.zero_grad()
+
+
 def khop_set_oracle(g: KnowledgeGraph, node: int, k: int) -> set:
     d = undirected_dist_matrix(g.num_entities, g.triples)
     return {i for i in range(g.num_entities) if d[node, i] <= k}
@@ -87,6 +100,36 @@ def induced_edges_oracle(g: KnowledgeGraph, nodes: list) -> list:
         if h in keep and t in keep:
             out.append((pos[h], r, pos[t]))
     return sorted(out)
+
+
+def double_radius_oracle(g: KnowledgeGraph, nodes: list, k: int, u: int, v: int) -> tuple:
+    """(dist_u, dist_v) of each node, in the order of nodes.
+
+    Level-by-level BFS that rescans the edges of g induced on nodes, once
+    from u with v removed and once from v with u removed; unreachable
+    nodes and distances past k + 1 read k + 1, and u and v are pinned to
+    (0, 1) and (1, 0).
+    """
+    keep = set(nodes)
+    pairs = [(h, t) for h, _, t in g.triples if h in keep and t in keep and h != t]
+
+    def distances(src: int, removed: int) -> list:
+        dist = {src: 0}
+        level = [src]
+        while level:
+            nxt = []
+            for a, b in pairs + [(t, h) for h, t in pairs]:
+                if a in level and b != removed and b not in dist:
+                    dist[b] = dist[a] + 1
+                    nxt.append(b)
+            level = nxt
+        return [min(dist.get(n, k + 1), k + 1) for n in nodes]
+
+    du, dv = distances(u, v), distances(v, u)
+    iu, iv = nodes.index(u), nodes.index(v)
+    du[iu], dv[iu] = 0, 1
+    du[iv], dv[iv] = 1, 0
+    return du, dv
 
 
 def auc_pr_reference(pos_scores, neg_scores) -> float:

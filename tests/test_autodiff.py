@@ -21,8 +21,9 @@ from grail.autodiff import (
     sigmoid,
     slice_rows,
     sum_all,
-    zero_grads,
 )
+
+from oracles import zero_grads
 
 
 def rnd(rng, *shape):

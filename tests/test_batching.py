@@ -18,7 +18,7 @@ from grail.model import GnnConfig, batch_subgraphs, init_params, sample_edge_mas
 from grail.subgraph import EXTRACTION_MODES, extract_enclosing, feature_dim, label_nodes
 from grail.train import TrainConfig, hinge_loss, scorer_from_checkpoint, train
 
-from oracles import random_kg
+from oracles import random_kg, zero_grads
 
 K = 2
 
@@ -51,14 +51,14 @@ def test_union_scores_and_gradients_match_each_subgraph_alone():
         masks = [sample_edge_masks(s, cfg, rng) for s in subs]
         weights = rng.standard_normal(len(subs))
 
-        ad.zero_grads(named)
+        zero_grads(named)
         union_masks = [np.concatenate(layer) for layer in zip(*masks)]
         scores = score_triplet(batch_subgraphs(subs), params, cfg, dropout_masks=union_masks)
         assert scores.shape == (len(subs), 1)
         ad.sum_all(ad.apply_mask(scores, weights.reshape(-1, 1))).backward()
         union_grads = [p.grad.copy() for p in named]
 
-        ad.zero_grads(named)
+        zero_grads(named)
         for i, (sub, m) in enumerate(zip(subs, masks)):
             alone = score_triplet(sub, params, cfg, dropout_masks=m)
             got = scores.data[i, 0]

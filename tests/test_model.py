@@ -7,6 +7,7 @@ from grail.autodiff import grad_check
 from grail.kg import load_triples
 from grail.model import (
     GnnConfig,
+    batch_subgraphs,
     init_params,
     layer_forward,
     params_from_named,
@@ -202,8 +203,7 @@ def test_dropped_edge_changes_nothing_downstream():
     got = score_triplet(sub, p, cfg, dropout_masks=[mask]).item()
     pruned = type(sub)(
         nodes=sub.nodes,
-        local_index=sub.local_index,
-        edges=[t for i, t in enumerate(sub.edges) if i != e],
+        edges=np.delete(sub.edges, e, axis=0),
         target=sub.target,
         target_edge_pos=sub.target_edge_pos - (1 if e < sub.target_edge_pos else 0),
         k=sub.k,
@@ -223,7 +223,7 @@ def test_layer_forward_mask_shape_error():
     import grail.autodiff as ad
 
     with pytest.raises(ValueError, match="dropout mask shape"):
-        layer_forward(sub, ad.constant(sub.features), 0, p, cfg,
+        layer_forward(batch_subgraphs([sub]), ad.constant(sub.features), 0, p, cfg,
                       dropout_mask=np.ones(len(sub.edges) + 1))
 
 
@@ -232,8 +232,9 @@ def test_score_triplet_errors():
     cfg = small_cfg()
     p = init_params(cfg, 3, rng)
     sub = random_labeled(rng)
-    bare = type(sub)(nodes=sub.nodes, local_index=sub.local_index, edges=sub.edges,
-                     target=sub.target, target_edge_pos=sub.target_edge_pos, k=sub.k)
+    bare = type(sub)(nodes=sub.nodes, edges=sub.edges, target=sub.target,
+                     target_edge_pos=sub.target_edge_pos, k=sub.k,
+                     dist_u=sub.dist_u, dist_v=sub.dist_v)
     with pytest.raises(ValueError, match="unlabeled"):
         score_triplet(bare, p, cfg)
     with pytest.raises(ValueError, match="dropout masks"):

@@ -5,13 +5,20 @@ import pytest
 
 from grail.kg import load_triples, without_triples
 from grail.subgraph import (
+    EXTRACTION_MODES,
     extract_enclosing,
     feature_dim,
     label_nodes,
     parse_aux_features,
 )
 
-from oracles import enclosing_set_oracle, induced_edges_oracle, khop_set_oracle, random_kg
+from oracles import (
+    double_radius_oracle,
+    enclosing_set_oracle,
+    induced_edges_oracle,
+    khop_set_oracle,
+    random_kg,
+)
 
 CHAIN = "u\tr\tm1\nm1\tr\tm2\nm2\tr\tv\nu\ts\tv\nx\tr\tu\nv\tr\ty\n"
 
@@ -60,7 +67,7 @@ def test_canonical_node_order():
     sub = extract_enclosing(g, u, v, g.relation_ids["s"], 2)
     assert sub.nodes[0] == u and sub.nodes[1] == v
     assert sub.nodes[2:] == sorted(sub.nodes[2:])
-    assert sub.local_index == {n: i for i, n in enumerate(sub.nodes)}
+    assert sub.target == (0, g.relation_ids["s"], 1)
 
 
 def test_induced_edges_complete():
@@ -74,7 +81,8 @@ def test_induced_edges_complete():
             want = induced_edges_oracle(g, sub.nodes)
             if sub.target not in want:  # the candidate edge is appended last
                 want.append(sub.target)
-            assert sub.edges == want
+            assert sub.edges.dtype == np.intp and sub.edges.shape == (len(want), 3)
+            assert [tuple(e) for e in sub.edges.tolist()] == want
 
 
 def test_target_edge_present_exactly_once():
@@ -83,13 +91,15 @@ def test_target_edge_present_exactly_once():
     s = g.relation_ids["s"]
     # (u, s, v) is a real edge: no duplicate appended
     sub = extract_enclosing(g, u, v, s, 2)
-    assert sub.edges.count(sub.target) == 1
-    assert sub.edges[sub.target_edge_pos] == sub.target
+    rows = [tuple(e) for e in sub.edges.tolist()]
+    assert rows.count(sub.target) == 1
+    assert rows[sub.target_edge_pos] == sub.target
     # remove it from the graph: extraction appends it at the end
     g2 = without_triples(g, [(u, s, v)])
     sub2 = extract_enclosing(g2, u, v, s, 2)
-    assert sub2.edges.count(sub2.target) == 1
-    assert sub2.target_edge_pos == len(sub2.edges) - 1
+    rows2 = [tuple(e) for e in sub2.edges.tolist()]
+    assert rows2.count(sub2.target) == 1
+    assert sub2.target_edge_pos == len(rows2) - 1
 
 
 def test_extraction_validates():
@@ -121,13 +131,30 @@ def test_double_radius_labels():
     g = chain_graph()
     u, v = g.entity_ids["u"], g.entity_ids["v"]
     sub = label_nodes(extract_enclosing(g, u, v, g.relation_ids["s"], 2))
-    lu, lv = sub.local_index[u], sub.local_index[v]
+    lu, lv = sub.nodes.index(u), sub.nodes.index(v)
     assert (sub.dist_u[lu], sub.dist_v[lu]) == (0, 1)
     assert (sub.dist_u[lv], sub.dist_v[lv]) == (1, 0)
-    m1, m2 = sub.local_index[g.entity_ids["m1"]], sub.local_index[g.entity_ids["m2"]]
+    m1, m2 = sub.nodes.index(g.entity_ids["m1"]), sub.nodes.index(g.entity_ids["m2"])
     # distances computed with the opposite target removed
     assert (sub.dist_u[m1], sub.dist_v[m1]) == (1, 2)
     assert (sub.dist_u[m2], sub.dist_v[m2]) == (2, 1)
+
+
+def test_labels_match_double_radius_oracle():
+    # labels are distances inside the extracted subgraph, in both modes
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        g = random_kg(rng, int(rng.integers(3, 14)), int(rng.integers(1, 4)),
+                      int(rng.integers(2, 40)), allow_self_loops=True)
+        u, v = (int(x) for x in rng.choice(g.num_entities, size=2, replace=False))
+        for k in (1, 2, 3):
+            for mode in EXTRACTION_MODES:
+                sub = extract_enclosing(g, u, v, 0, k, mode=mode)
+                du, dv = double_radius_oracle(g, sub.nodes, k, u, v)
+                assert (sub.dist_u, sub.dist_v) == (du, dv)
+                feats = label_nodes(sub).features
+                assert np.argmax(feats[:, : k + 2], axis=1).tolist() == du
+                assert np.argmax(feats[:, k + 2 :], axis=1).tolist() == dv
 
 
 def test_label_invariants_random():
@@ -153,11 +180,13 @@ def test_label_invariants_random():
 
 def test_constant_labels():
     g = chain_graph()
-    sub = label_nodes(
-        extract_enclosing(g, 0, 1, 0, 2), scheme="constant"
-    )
-    assert set(sub.dist_u) == {1} and set(sub.dist_v) == {1}
-    assert np.all(sub.features[:, 1] == 1.0)
+    sub = extract_enclosing(g, 0, 1, 0, 2)
+    lab = label_nodes(sub, scheme="constant")
+    # every row encodes (1, 1); the stored distances stay as extracted
+    want = np.zeros((sub.num_nodes, feature_dim(2)))
+    want[:, [1, 5]] = 1.0  # a 1 in each half of width k + 2 = 4
+    assert np.array_equal(lab.features, want)
+    assert (lab.dist_u, lab.dist_v) == (sub.dist_u, sub.dist_v)
 
 
 def test_unknown_scheme_rejected():
@@ -187,6 +216,28 @@ def test_aux_features_errors():
     bad[sub.nodes[0]] = np.ones(3)
     with pytest.raises(ValueError, match="mixed dimensions"):
         label_nodes(sub, aux_features=bad)
+
+
+class _LookupOnly(dict):
+    """A feature table that may be looked up but not scanned as a whole."""
+
+    def values(self):
+        raise AssertionError("the whole feature table was scanned")
+
+
+def test_aux_features_looked_up_per_node_only():
+    g = chain_graph()
+    u, v = g.entity_ids["u"], g.entity_ids["v"]
+    sub = extract_enclosing(g, u, v, g.relation_ids["s"], 2)
+    aux = {n: np.array([float(n), 1.0]) for n in range(g.num_entities)}
+    outside = next(n for n in range(g.num_entities) if n not in sub.nodes)
+    aux[outside] = np.ones(3)  # read by no node of this subgraph
+    lab = label_nodes(sub, aux_features=_LookupOnly(aux))
+    want = label_nodes(sub, aux_features={n: aux[n] for n in sub.nodes})
+    assert np.array_equal(lab.features, want.features)
+    aux[sub.nodes[-1]] = np.ones(3)
+    with pytest.raises(ValueError, match="mixed dimensions"):
+        label_nodes(sub, aux_features=_LookupOnly(aux))
 
 
 def test_parse_aux_features():

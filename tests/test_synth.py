@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from grail.kg import graphs_equal
-
+from oracles import graphs_equal
 from synth import RELATIONS, _closure, rule_benchmark
 
 

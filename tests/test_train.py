@@ -270,6 +270,18 @@ def test_train_names_an_entity_without_aux_features_before_epoch_1():
     assert logged == []
 
 
+def test_train_names_an_entity_with_a_mixed_width_aux_vector_before_epoch_1():
+    g = load_triples("a\tr\tb\nb\tr\tc\nc\tr\td\nd\tr\ta\na\tr\tc\n")
+    aux = {name: np.ones(2) for name in "abcd"}
+    aux["c"] = np.ones(3)
+    tcfg = TrainConfig(margin=2.0, epochs=1, batch_size=4, hops=2, seed=0)
+    gcfg = GnnConfig(num_layers=1, hidden_dim=4, num_bases=1, input_dim=feature_dim(2, 2))
+    logged = []
+    with pytest.raises(ValueError, match="auxiliary features of entity 'c' have width 3"):
+        train(g, g.triples[:2], tcfg, gcfg, aux_features=aux, log_fn=logged.append)
+    assert logged == []
+
+
 def test_checkpoint_config_reconstruction():
     g, valid, tcfg, gcfg = toy_setup(epochs=1, seed=8)
     _, final, _ = train(g, valid, tcfg, gcfg)
