@@ -252,6 +252,19 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a,), _vjp=vjp)
 
 
+def _scatter_rows(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """(E, d) -> (n, d): row e is added into row index[e], in row order.
+
+    The same sums, bit for bit, as np.add.at into zeros, but one bincount
+    over the flat cells.  An index outside [0, n) raises ValueError: a
+    negative one in bincount, a large one in the reshape.
+    """
+    d = rows.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=rows.ravel(), minlength=n * d)
+    return sums.astype(np.float64, copy=False).reshape(n, d)  # float even when E == 0
+
+
 def slice_rows(a: Tensor, indices) -> Tensor:
     """Gather rows of a 2-D tensor; duplicate indices accumulate in backward."""
     if a.data.ndim != 2:
@@ -264,9 +277,7 @@ def slice_rows(a: Tensor, indices) -> Tensor:
     out_data = a.data[idx]
 
     def vjp(g: np.ndarray):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        return (buf,)
+        return (_scatter_rows(g, idx, a.data.shape[0]),)
 
     return Tensor(out_data, _parents=(a,), _vjp=vjp)
 
@@ -282,10 +293,10 @@ def segment_sum(a: Tensor, index, n: int) -> Tensor:
     idx = np.asarray(index, dtype=np.intp)
     if idx.shape != (a.data.shape[0],):
         raise ValueError(f"segment_sum: index shape {idx.shape} != ({a.data.shape[0]},)")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"segment_sum: index out of range for {n} segments")
-    out_data = np.zeros((n, a.data.shape[1]))
-    np.add.at(out_data, idx, a.data)
+    try:
+        out_data = _scatter_rows(a.data, idx, n)
+    except ValueError:
+        raise ValueError(f"segment_sum: index out of range for {n} segments") from None
 
     def vjp(g: np.ndarray):
         return (g[idx],)

@@ -16,7 +16,9 @@ class KnowledgeGraph:
 
     Entities and relations are interned to dense integer ids in first-appearance
     order; every downstream module works on ids only.  Construction rejects a
-    triple whose ids fall outside the vocabularies.
+    triple whose ids fall outside the vocabularies.  k-hop sets are memoized
+    per (node, k) on the graph itself (see khop), so the memo is freed with
+    the graph and takes no part in equality.
     """
 
     entity_names: list[str]
@@ -27,6 +29,7 @@ class KnowledgeGraph:
     relation_ids: dict[str, int] = field(default_factory=dict)
     out_edges: list[list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
     neighbors: list[list[int]] = field(init=False, repr=False, compare=False)
+    _khop: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.entity_ids:
@@ -48,6 +51,13 @@ class KnowledgeGraph:
     @property
     def num_relations(self) -> int:
         return len(self.relation_names)
+
+    def khop(self, node: int, k: int) -> frozenset[int]:
+        """khop_nodes(self, node, k), searched once per (node, k) and then memoized."""
+        found = self._khop.get((node, k))
+        if found is None:
+            found = self._khop[node, k] = frozenset(khop_nodes(self, node, k))
+        return found
 
     def check_entity(self, node: int) -> None:
         if not (0 <= node < self.num_entities):

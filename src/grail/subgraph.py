@@ -9,7 +9,8 @@ from itertools import chain
 
 import numpy as np
 
-from .kg import KnowledgeGraph, khop_nodes
+# extraction reads g.khop; khop_nodes stays reachable as grail.subgraph.khop_nodes
+from .kg import KnowledgeGraph, khop_nodes  # noqa: F401
 
 UNREACHABLE = -1
 
@@ -78,14 +79,21 @@ def extract_enclosing(
 ) -> LabeledSubgraph:
     """Extract the local subgraph evidence for candidate edge (u, r_t, v).
 
-    enclosing: intersection of the k-hop neighborhoods of u and v, then
-    iterative pruning of nodes whose distance-to-u (computed with v removed)
-    plus distance-to-v (computed with u removed) exceeds k + 1 inside the
-    induced subgraph.  The surviving set is exactly the nodes lying on a
-    u-v path of length <= k + 1 whose u-side stays clear of v and whose
-    v-side stays clear of u; isolated and unreachable nodes go too.
+    enclosing: intersection of the k-hop neighborhoods of u and v, then one
+    pruning pass that drops the nodes whose distance-to-u (computed with v
+    removed) plus distance-to-v (computed with u removed) exceeds k + 1
+    inside the induced subgraph; isolated and unreachable nodes go too.
+    The edges and distances are then filtered to the kept nodes.  A second
+    pass could prune nothing: every node on a kept node's shortest path to
+    u or to v has no larger d_u + d_v, so it is kept and those distances
+    stand.  The surviving set is exactly the nodes lying on a u-v path of
+    length <= k + 1 whose u-side stays clear of v and whose v-side stays
+    clear of u.
 
     full_khop: union of the two k-hop neighborhoods, no pruning.
+
+    The k-hop sets come from g.khop, so candidates that share an endpoint
+    on one graph share its search.
 
     Both modes keep the distances of the final node set as the
     double-radius labels: each one is a shortest undirected path in the
@@ -107,25 +115,25 @@ def extract_enclosing(
     if mode not in EXTRACTION_MODES:
         raise ValueError(f"unknown extraction mode {mode!r}, expected one of {EXTRACTION_MODES}")
 
-    nu = khop_nodes(g, u, k)
-    nv = khop_nodes(g, v, k)
+    nu, nv = g.khop(u, k), g.khop(v, k)
     keep = nu | nv if mode == "full_khop" else (nu & nv) | {u, v}
-    while True:
-        nodes = [u, v] + sorted(keep - {u, v})
-        edges = _induced_edges(g, {n: i for i, n in enumerate(nodes)})
-        adj = _undirected_adjacency(len(nodes), edges)
-        du = _bfs_without(adj, 0, 1)
-        dv = _bfs_without(adj, 1, 0)
-        if mode == "full_khop":
-            break
-        pruned = {
-            n
-            for i, n in enumerate(nodes[2:], start=2)
-            if du[i] == UNREACHABLE or dv[i] == UNREACHABLE or du[i] + dv[i] > k + 1
-        }
-        if not pruned:
-            break
-        keep -= pruned
+    nodes = [u, v] + sorted(keep - {u, v})
+    edges = _induced_edges(g, {n: i for i, n in enumerate(nodes)})
+    adj = _undirected_adjacency(len(nodes), edges)
+    du = _bfs_without(adj, 0, 1)
+    dv = _bfs_without(adj, 1, 0)
+    if mode == "enclosing":
+        kept = [
+            i
+            for i in range(len(nodes))
+            if i < 2 or (UNREACHABLE not in (du[i], dv[i]) and du[i] + dv[i] <= k + 1)
+        ]
+        if len(kept) < len(nodes):
+            pos = {old: new for new, old in enumerate(kept)}
+            nodes = [nodes[i] for i in kept]
+            edges = [(pos[h], r, pos[t]) for h, r, t in edges if h in pos and t in pos]
+            du = [du[i] for i in kept]
+            dv = [dv[i] for i in kept]
 
     cap = k + 1
     dist_u = [cap if d == UNREACHABLE else min(d, cap) for d in du]

@@ -147,6 +147,23 @@ def test_segment_sum_forward_backward_and_empty_segments():
         segment_sum(parameter(np.ones(3)), np.array([0, 0, 0]), 1)
 
 
+def test_scatters_are_bit_identical_to_add_at():
+    # segment_sum's forward and slice_rows' backward against np.add.at into
+    # zeros, byte for byte, with signed zeros among the rows
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        e, n, d = int(rng.integers(0, 40)), int(rng.integers(1, 20)), int(rng.integers(1, 6))
+        rows = rng.standard_normal((e, d))
+        rows[rng.random((e, d)) < 0.2] = -0.0
+        idx = rng.integers(0, n, size=e)
+        want = np.zeros((n, d))
+        np.add.at(want, idx, rows)
+        assert segment_sum(constant(rows), idx, n).data.tobytes() == want.tobytes()
+        a = parameter(rng.standard_normal((n, d)))
+        sum_all(mul(slice_rows(a, idx), constant(rows))).backward()
+        assert a.grad.tobytes() == want.tobytes()
+
+
 def test_basis_matmul_mixes_the_bases_per_row():
     rng = np.random.default_rng(14)
     x, coef = rnd(rng, 5, 3), rnd(rng, 5, 2)

@@ -1,8 +1,12 @@
 """Graph container, triple parsing, and neighborhood queries."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import grail.kg
 from grail.kg import (
     KnowledgeGraph,
     from_parts,
@@ -141,6 +145,78 @@ def test_khop_matches_distance_oracle():
 def test_khop_ignores_direction():
     g = load_triples("a\tr\tb\nc\tr\tb\n")
     assert khop_nodes(g, g.entity_ids["a"], 2) == {0, 1, 2}
+
+
+def test_khop_memo_matches_distance_oracle():
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        g = random_kg(rng, num_entities=int(rng.integers(2, 14)),
+                      num_relations=int(rng.integers(1, 4)),
+                      num_edges=int(rng.integers(1, 30)), allow_self_loops=True)
+        for x in range(g.num_entities):
+            for k in (1, 2, 3):
+                found = g.khop(x, k)
+                assert isinstance(found, frozenset)
+                assert found == khop_set_oracle(g, x, k)
+
+
+def _counting_khop_nodes(monkeypatch) -> list:
+    runs = []
+    search = grail.kg.khop_nodes
+
+    def counted(g, node, k):
+        runs.append((node, k))
+        return search(g, node, k)
+
+    monkeypatch.setattr(grail.kg, "khop_nodes", counted)
+    return runs
+
+
+def test_khop_memo_searches_once_per_node_and_k(monkeypatch):
+    runs = _counting_khop_nodes(monkeypatch)
+    g = load_triples(TOY)
+    first = g.khop(0, 1)
+    assert g.khop(0, 1) is first
+    assert runs == [(0, 1)]
+    g.khop(0, 2)
+    g.khop(1, 1)
+    g.khop(0, 2)
+    assert runs == [(0, 1), (0, 2), (1, 1)]
+    with pytest.raises(ValueError, match="k must be"):
+        g.khop(0, 0)
+    with pytest.raises(ValueError, match="invalid entity id"):
+        g.khop(99, 1)
+
+
+def test_khop_memo_does_not_cross_graphs(monkeypatch):
+    g = load_triples("a\tr\tb\nb\tr\tc\n")
+    a = g.entity_ids["a"]
+    assert g.khop(a, 2) == {0, 1, 2}
+    runs = _counting_khop_nodes(monkeypatch)
+    g2 = without_triples(g, [(1, 0, 2)])
+    assert g2._khop == {}
+    assert g2.khop(a, 2) == {0, 1}  # searched again on the smaller graph
+    assert runs == [(a, 2)]
+    assert g.khop(a, 2) == {0, 1, 2}
+
+
+def test_khop_memo_takes_no_part_in_equality():
+    warm, fresh = load_triples(TOY), load_triples(TOY)
+    for x in range(warm.num_entities):
+        warm.khop(x, 2)
+    assert warm._khop and not fresh._khop
+    assert warm == fresh
+    assert "_khop" not in repr(warm)
+
+
+def test_khop_memo_is_freed_with_its_graph():
+    g = load_triples(TOY)
+    for x in range(g.num_entities):
+        g.khop(x, 2)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_graphs_equal_detects_difference():

@@ -1,11 +1,14 @@
 """Enclosing-subgraph extraction and double-radius labeling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from grail.kg import load_triples, without_triples
 from grail.subgraph import (
     EXTRACTION_MODES,
+    LABEL_SCHEMES,
     extract_enclosing,
     feature_dim,
     label_nodes,
@@ -125,6 +128,68 @@ def test_pruning_drops_dead_ends():
     kept = set(sub.nodes)
     assert x not in kept and y not in kept
     assert g.entity_ids["m1"] in kept and g.entity_ids["m2"] in kept
+
+
+def test_one_pruning_pass_reaches_the_fixed_point():
+    # a second pass over the returned nodes would prune nothing, and the
+    # filtered edges and distances are those of the returned node set
+    rng = np.random.default_rng(12)
+    pruned = 0
+    for _ in range(300):
+        g = random_kg(rng, int(rng.integers(3, 16)), int(rng.integers(1, 4)),
+                      int(rng.integers(2, 40)), allow_self_loops=True)
+        u, v = (int(x) for x in rng.choice(g.num_entities, size=2, replace=False))
+        for k in (1, 2, 3):
+            for mode in EXTRACTION_MODES:
+                sub = extract_enclosing(g, u, v, 0, k, mode=mode)
+                du, dv = double_radius_oracle(g, sub.nodes, k, u, v)
+                assert (sub.dist_u, sub.dist_v) == (du, dv)
+                want = induced_edges_oracle(g, sub.nodes)
+                if sub.target not in want:
+                    want.append(sub.target)
+                assert [tuple(e) for e in sub.edges.tolist()] == want
+                if mode == "enclosing":
+                    assert all(a + b <= k + 1 for a, b in zip(du[2:], dv[2:]))
+                    assert set(sub.nodes) == enclosing_set_oracle(g, u, v, k)
+                    ball = khop_set_oracle(g, u, k) & khop_set_oracle(g, v, k)
+                    pruned += len(sub.nodes) < len(ball | {u, v})
+    assert pruned > 100  # the pass did drop nodes, so the filter was exercised
+
+
+# _extraction_digest(250) of the reference extraction (iterative pruning until
+# nothing is pruned); any change to a subgraph, a distance or a feature moves it
+GOLDEN_EXTRACTION_SHA256 = "402e9c3f9d0a5be077f8f30d1a0959f1a9d8c1955799b262f559a72dfd960eb1"
+
+
+def _extraction_digest(num_graphs: int) -> str:
+    """sha256 over 8 seeded extractions per graph, labeled under both schemes.
+
+    Four candidates on each random graph (self-loops included, k = 1-3), each
+    extracted in both modes, so later candidates reuse the graph's k-hop memo.
+    Hashes nodes, distances, target position, edge rows and feature bytes.
+    """
+    rng = np.random.default_rng(13)
+    digest = hashlib.sha256()
+    for _ in range(num_graphs):
+        g = random_kg(rng, int(rng.integers(3, 30)), int(rng.integers(1, 6)),
+                      int(rng.integers(2, 60)), allow_self_loops=True)
+        k = int(rng.integers(1, 4))
+        for _ in range(4):
+            u, v = (int(x) for x in rng.choice(g.num_entities, size=2, replace=False))
+            r = int(rng.integers(g.num_relations))
+            for mode in EXTRACTION_MODES:
+                sub = extract_enclosing(g, u, v, r, k, mode=mode)
+                ints = sub.nodes + sub.dist_u + sub.dist_v + [sub.target_edge_pos]
+                digest.update(np.array(ints, np.int64).tobytes())
+                digest.update(sub.edges.astype(np.int64).tobytes())
+                for scheme in LABEL_SCHEMES:
+                    digest.update(label_nodes(sub, scheme).features.tobytes())
+    return digest.hexdigest()
+
+
+def test_extraction_is_bit_identical_to_the_golden_hash():
+    # 2,000 extractions; a change here means subgraphs or labels moved
+    assert _extraction_digest(250) == GOLDEN_EXTRACTION_SHA256
 
 
 def test_double_radius_labels():
