@@ -75,8 +75,10 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        self._grad += g
+            # a copy: add's vjp hands one array to both parents, concat's hands out views
+            self._grad = g.copy()
+        else:
+            self._grad += g
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad of every requires_grad ancestor."""

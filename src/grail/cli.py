@@ -213,6 +213,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
+    if int(cfg["eval_negatives"]) < 1:
+        raise ConfigError(f"eval_negatives must be >= 1, got {cfg['eval_negatives']}")
     seed = _seed(args, cfg)
     if not os.path.isfile(args.checkpoint):
         raise ConfigError(f"no such file: {args.checkpoint}")

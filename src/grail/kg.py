@@ -7,7 +7,10 @@ import secrets
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterator
+
+import numpy as np
 
 
 @dataclass
@@ -17,8 +20,9 @@ class KnowledgeGraph:
     Entities and relations are interned to dense integer ids in first-appearance
     order; every downstream module works on ids only.  Construction rejects a
     triple whose ids fall outside the vocabularies.  k-hop sets are memoized
-    per (node, k) on the graph itself (see khop), so the memo is freed with
-    the graph and takes no part in equality.
+    per (node, k) on the graph itself (see khop), and the flat out-edge
+    arrays are built on first use (see out_csr), so both are freed with the
+    graph and take no part in equality.
     """
 
     entity_names: list[str]
@@ -30,6 +34,7 @@ class KnowledgeGraph:
     out_edges: list[list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
     neighbors: list[list[int]] = field(init=False, repr=False, compare=False)
     _khop: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _csr: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.entity_ids:
@@ -58,6 +63,19 @@ class KnowledgeGraph:
         if found is None:
             found = self._khop[node, k] = frozenset(khop_nodes(self, node, k))
         return found
+
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """out_edges as flat arrays (indptr, relations, tails), built once on first use.
+
+        The out-edges of node are relations[indptr[node]:indptr[node + 1]]
+        and the matching tails, in out_edges order.
+        """
+        if self._csr is None:
+            counts = np.fromiter(map(len, self.out_edges), np.intp, self.num_entities)
+            flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.out_edges)), np.intp)
+            indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+            self._csr = (indptr, flat[0::2].copy(), flat[1::2].copy())
+        return self._csr
 
     def check_entity(self, node: int) -> None:
         if not (0 <= node < self.num_entities):

@@ -13,12 +13,13 @@ count satisfied walks of rule sets exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import autodiff as ad
 from .kg import KnowledgeGraph, from_parts, out_neighbors, to_lines
-from .model import GnnConfig, GnnParams, LayerParams, SubgraphBatch, layer_forward
+from .model import GnnConfig, GnnParams, LayerParams, layer_forward
 
 __all__ = [
     "PathRule",
@@ -182,15 +183,9 @@ def score_rule_construction(
         params, cfg = construct_rule_params(rule, g.num_relations)
     n = g.num_entities
     edges = np.array(g.triples, dtype=np.intp).reshape(-1, 3)
-    graph = SubgraphBatch(
-        edges=edges,
-        edge_target_rels=np.full(len(edges), rule.head, dtype=np.intp),
-        node_member=np.zeros(n, dtype=np.intp),
-        member_sizes=np.array([n]),
-        u_rows=np.array([u]),
-        v_rows=np.array([v]),
-        target_rels=np.array([rule.head]),
-        features=None,
+    # the whole graph as layer_forward's input: its edges, the relation they score, its size
+    graph = SimpleNamespace(
+        edges=edges, edge_target_rels=np.full(len(edges), rule.head, dtype=np.intp), num_nodes=n
     )
     h = ad.constant(np.zeros((n, 1)))
     h.data[u, 0] = 1.0

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .subgraph import LabeledSubgraph
+from .subgraph import LabeledSubgraph, SubgraphBatch, batch_subgraphs
 
 
 @dataclass
@@ -164,54 +164,6 @@ def _snap_alpha(alpha: Tensor) -> Tensor:
     return ad.constant(data)
 
 
-@dataclass
-class SubgraphBatch:
-    """A disjoint union of labeled subgraphs, scored in one pass.
-
-    Member i owns a contiguous block of node rows, starting at the sum of
-    the earlier members' sizes; edges are (head, relation, tail) rows over
-    union node rows, each member's edges in its own order.
-    """
-
-    edges: np.ndarray             # (E, 3) int
-    edge_target_rels: np.ndarray  # (E,) scored relation of the member owning each edge
-    node_member: np.ndarray       # (N,) member of each node row
-    member_sizes: np.ndarray      # (B,) nodes per member
-    u_rows: np.ndarray            # (B,) union row of each member's u
-    v_rows: np.ndarray            # (B,) union row of each member's v
-    target_rels: np.ndarray       # (B,) scored relation per member
-    features: np.ndarray | None   # (N, input_dim); None if any member is unlabeled
-
-    @property
-    def num_nodes(self) -> int:
-        return self.node_member.shape[0]
-
-
-def batch_subgraphs(subs: list[LabeledSubgraph]) -> SubgraphBatch:
-    """Offset and concatenate subgraphs into one disjoint union, in the given order."""
-    if not subs:
-        raise ValueError("need at least one subgraph to batch")
-    sizes = np.array([s.num_nodes for s in subs], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    edge_counts = np.array([len(s.edges) for s in subs], dtype=np.intp)
-    edges = np.concatenate([s.edges for s in subs])
-    edge_starts = np.repeat(starts, edge_counts)
-    edges[:, 0] += edge_starts
-    edges[:, 2] += edge_starts
-    targets = np.array([s.target for s in subs], dtype=np.intp)
-    unlabeled = any(s.features is None for s in subs)
-    return SubgraphBatch(
-        edges=edges,
-        edge_target_rels=np.repeat(targets[:, 1], edge_counts),
-        node_member=np.repeat(np.arange(len(subs)), sizes),
-        member_sizes=sizes,
-        u_rows=starts + targets[:, 0],
-        v_rows=starts + targets[:, 2],
-        target_rels=targets[:, 1],
-        features=None if unlabeled else np.concatenate([s.features for s in subs]),
-    )
-
-
 def _attention(
     h_src: Tensor,
     h_dst: Tensor,
@@ -241,7 +193,8 @@ def layer_forward(
 
     By default node t pulls messages from its outgoing neighbors (edge
     (t, r, s) sends W_r h_s into t); with cfg.aggregate_in_neighbors messages
-    flow along edge direction instead (edge (s, r, t) sends into t).
+    flow along edge direction instead (edge (s, r, t) sends into t).  Of
+    batch it reads only edges, edge_target_rels and num_nodes.
     """
     lp = params.layers[layer]
     heads, rels, tails = batch.edges.T

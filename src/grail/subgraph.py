@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -11,8 +10,6 @@ import numpy as np
 
 # extraction reads g.khop; khop_nodes stays reachable as grail.subgraph.khop_nodes
 from .kg import KnowledgeGraph, khop_nodes  # noqa: F401
-
-UNREACHABLE = -1
 
 EXTRACTION_MODES = ("enclosing", "full_khop")
 LABEL_SCHEMES = ("double_radius", "constant")
@@ -43,30 +40,34 @@ class LabeledSubgraph:
         return len(self.nodes)
 
 
-def _undirected_adjacency(num_nodes: int, edges: list[tuple[int, int, int]]) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(num_nodes)]
-    for h, _, t in edges:
-        if h != t:
-            adj[h].add(t)
-            adj[t].add(h)
-    return adj
+@dataclass
+class SubgraphBatch:
+    """A disjoint union of labeled subgraphs, scored in one pass.
 
+    Member i owns a contiguous block of node rows, starting at the sum of
+    the earlier members' sizes, and a contiguous block of edge rows; edges
+    are (head, relation, tail) rows over union node rows, each member's
+    edges in its own order.  nodes, dist_u and dist_v hold what a
+    LabeledSubgraph holds, one entry per node row.
+    """
 
-def _bfs_without(adj: list[set[int]], start: int, removed: int) -> list[int]:
-    """Undirected BFS distances from start with one node (and its edges) removed."""
-    dist = [UNREACHABLE] * len(adj)
-    if start == removed:
-        return dist
-    dist[start] = 0
-    q = deque([start])
-    while q:
-        cur = q.popleft()
-        for nxt in adj[cur]:
-            if nxt == removed or dist[nxt] != UNREACHABLE:
-                continue
-            dist[nxt] = dist[cur] + 1
-            q.append(nxt)
-    return dist
+    nodes: np.ndarray             # (N,) graph id of each node row
+    edges: np.ndarray             # (E, 3) int
+    edge_target_rels: np.ndarray  # (E,) scored relation of the member owning each edge
+    node_member: np.ndarray       # (N,) member of each node row
+    member_sizes: np.ndarray      # (B,) nodes per member
+    u_rows: np.ndarray            # (B,) union row of each member's u
+    v_rows: np.ndarray            # (B,) union row of each member's v
+    target_rels: np.ndarray       # (B,) scored relation per member
+    target_edge_pos: np.ndarray   # (B,) union edge row of each member's candidate edge
+    k: int
+    dist_u: np.ndarray            # (N,)
+    dist_v: np.ndarray            # (N,)
+    features: np.ndarray | None   # (N, input_dim); None if any member is unlabeled
+
+    @property
+    def num_nodes(self) -> int:
+        return self.node_member.shape[0]
 
 
 def extract_enclosing(
@@ -103,78 +104,212 @@ def extract_enclosing(
     never shortens a path, since each search removes one of its ends.
 
     The candidate edge is appended to the edge list if not already induced,
-    so message passing can always see it.
+    so message passing can always see it.  This is the one-member case of
+    extract_union.
     """
-    g.check_entity(u)
-    g.check_entity(v)
-    g.check_relation(r_t)
-    if u == v:
-        raise ValueError(f"target nodes must differ, got u == v == {u}")
+    return union_members(extract_union(g, [(u, r_t, v)], k, mode))[0]
+
+
+def extract_union(
+    g: KnowledgeGraph,
+    candidates: list[tuple[int, int, int]],
+    k: int,
+    mode: str = "enclosing",
+) -> SubgraphBatch:
+    """The unlabeled disjoint union of the subgraphs of candidates (u, r_t, v).
+
+    Member i is what extract_enclosing(g, u, v, r_t, k, mode) gives for
+    candidate i, and all members are built together in array passes: the
+    out-edges of every member's nodes are gathered from g.out_csr and kept
+    where the tail is in the same member, one sort puts them in canonical
+    (local head, relation, local tail) order, each side runs one
+    level-synchronous search over all members for at most k levels (a
+    node not reached by then would read k + 1 anyway, and would be pruned
+    in enclosing mode), the pruning is one mask, and each candidate edge
+    that is not induced is appended after its member's edges.
+    """
+    for u, r_t, v in candidates:
+        g.check_entity(u)
+        g.check_entity(v)
+        g.check_relation(r_t)
+        if u == v:
+            raise ValueError(f"target nodes must differ, got u == v == {u}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if mode not in EXTRACTION_MODES:
         raise ValueError(f"unknown extraction mode {mode!r}, expected one of {EXTRACTION_MODES}")
+    if not candidates:
+        raise ValueError("need at least one candidate to extract")
 
-    nu, nv = g.khop(u, k), g.khop(v, k)
-    keep = nu | nv if mode == "full_khop" else (nu & nv) | {u, v}
-    nodes = [u, v] + sorted(keep - {u, v})
-    edges = _induced_edges(g, {n: i for i, n in enumerate(nodes)})
-    adj = _undirected_adjacency(len(nodes), edges)
-    du = _bfs_without(adj, 0, 1)
-    dv = _bfs_without(adj, 1, 0)
+    member_nodes = []
+    for u, _, v in candidates:
+        nu, nv = g.khop(u, k), g.khop(v, k)
+        rest = nu | nv if mode == "full_khop" else nu & nv
+        member_nodes.append((u, v, *sorted(rest - {u, v})))
+    sizes = np.fromiter(map(len, member_nodes), np.intp, len(member_nodes))
+    nodes = np.fromiter(chain.from_iterable(member_nodes), np.intp, int(sizes.sum()))
+    member = np.repeat(np.arange(len(sizes)), sizes)
+    rts = np.array([r_t for _, r_t, _ in candidates], dtype=np.intp)
+
+    # rows by (member, graph id), so one search finds the row of an edge's tail;
+    # every sort here is stable, the sort code auc_pr loads anyway
+    keys = member * g.num_entities + nodes
+    by_key = np.argsort(keys, kind="stable")
+    keys = np.append(keys[by_key], -1)  # -1: past the last key
+    indptr, out_rels, out_tails = g.out_csr()
+    first = indptr[nodes]
+    degree = indptr[nodes + 1] - first
+    heads = np.repeat(np.arange(len(nodes)), degree)
+    at = np.arange(heads.size) + np.repeat(first - (np.cumsum(degree) - degree), degree)
+    tail_keys = member[heads] * g.num_entities + out_tails[at]
+    found = np.searchsorted(keys[:-1], tail_keys)
+    inside = keys[found] == tail_keys
+    tails = by_key[found[inside]]
+    rels = out_rels[at][inside]
+    heads = heads[inside]
+    num_rel = g.num_relations
+    order = np.argsort((heads * num_rel + rels) * len(nodes) + tails, kind="stable")
+    edges = np.stack([heads, rels, tails], axis=1)[order]
+
+    loops = edges[:, 0] == edges[:, 2]
+    src = np.concatenate([edges[~loops, 0], edges[~loops, 2]])
+    dst = np.concatenate([edges[~loops, 2], edges[~loops, 0]])
+    starts = np.cumsum(sizes) - sizes
+    dist_u = _levels(src, dst, len(nodes), starts, starts + 1, k)
+    dist_v = _levels(src, dst, len(nodes), starts + 1, starts, k)
     if mode == "enclosing":
-        kept = [
-            i
-            for i in range(len(nodes))
-            if i < 2 or (UNREACHABLE not in (du[i], dv[i]) and du[i] + dv[i] <= k + 1)
-        ]
-        if len(kept) < len(nodes):
-            pos = {old: new for new, old in enumerate(kept)}
-            nodes = [nodes[i] for i in kept]
-            edges = [(pos[h], r, pos[t]) for h, r, t in edges if h in pos and t in pos]
-            du = [du[i] for i in kept]
-            dv = [dv[i] for i in kept]
+        keep = dist_u + dist_v <= k + 1  # u and v read (0, 1) and (1, 0), so they stay
+        if not keep.all():
+            renumber = np.cumsum(keep) - 1
+            edges = edges[keep[edges[:, 0]] & keep[edges[:, 2]]]
+            edges[:, 0] = renumber[edges[:, 0]]
+            edges[:, 2] = renumber[edges[:, 2]]
+            nodes, member, dist_u, dist_v = nodes[keep], member[keep], dist_u[keep], dist_v[keep]
+            sizes = np.bincount(member, minlength=len(sizes))
+            starts = np.cumsum(sizes) - sizes
 
-    cap = k + 1
-    dist_u = [cap if d == UNREACHABLE else min(d, cap) for d in du]
-    dist_v = [cap if d == UNREACHABLE else min(d, cap) for d in dv]
-    dist_u[0], dist_v[0] = 0, 1
-    dist_u[1], dist_v[1] = 1, 0
-    target = (0, r_t, 1)
-    try:
-        pos_t = edges.index(target)
-    except ValueError:
-        edges.append(target)
-        pos_t = len(edges) - 1
-    return LabeledSubgraph(
+    # the edge rows still ascend in (head, relation, tail), so one search
+    # finds each candidate edge; missing ones go after their member's edges
+    num = len(nodes)
+    edge_keys = (edges[:, 0] * num_rel + edges[:, 1]) * num + edges[:, 2]
+    target_keys = (starts * num_rel + rts) * num + starts + 1
+    at = np.searchsorted(edge_keys, target_keys)
+    found = np.append(edge_keys, -1)[at] == target_keys
+    ends = np.cumsum(np.bincount(member[edges[:, 0]], minlength=len(sizes)))
+    missing = ~found
+    appended_before = np.cumsum(missing) - missing
+    target_pos = np.where(found, at, ends) + appended_before
+    if missing.any():
+        # each edge moves down by the candidate edges appended before its member's block
+        grown = np.empty((len(edges) + int(missing.sum()), 3), dtype=np.intp)
+        grown[np.arange(len(edges)) + appended_before[member[edges[:, 0]]]] = edges
+        grown[target_pos[missing]] = np.stack([starts, rts, starts + 1], axis=1)[missing]
+        edges = grown
+    return SubgraphBatch(
         nodes=nodes,
-        edges=np.fromiter(chain.from_iterable(edges), np.intp, 3 * len(edges)).reshape(-1, 3),
-        target=target,
-        target_edge_pos=pos_t,
+        edges=edges,
+        edge_target_rels=rts[member[edges[:, 0]]],
+        node_member=member,
+        member_sizes=sizes,
+        u_rows=starts,
+        v_rows=starts + 1,
+        target_rels=rts,
+        target_edge_pos=target_pos,
         k=k,
         dist_u=dist_u,
         dist_v=dist_v,
+        features=None,
     )
 
 
-def _induced_edges(g: KnowledgeGraph, local_index: dict[int, int]) -> list[tuple[int, int, int]]:
-    """All graph edges between the given nodes, as sorted local-index triples."""
-    edges = [
-        (i, r, local_index[t])
-        for h, i in local_index.items()
-        for r, t in g.out_edges[h]
-        if t in local_index
+def _levels(
+    src: np.ndarray, dst: np.ndarray, num: int, start: np.ndarray, blocked: np.ndarray, k: int
+) -> np.ndarray:
+    """Distances from the start rows along the arcs src -> dst, at most k levels deep.
+
+    The blocked rows are never entered and read 1 (the pinned distance
+    between the two targets); rows not reached within k levels read k + 1.
+    """
+    dist = np.full(num, k + 1, dtype=np.intp)
+    dist[blocked] = -1
+    dist[start] = 0
+    for level in range(1, k + 1):
+        reached = dst[dist[src] == level - 1]
+        dist[reached[dist[reached] == k + 1]] = level
+    dist[blocked] = 1
+    return dist
+
+
+def union_members(batch: SubgraphBatch) -> list[LabeledSubgraph]:
+    """The members of a union as separate subgraphs, in order (batch_subgraphs undoes it)."""
+    sizes = batch.member_sizes
+    edge_counts = np.bincount(batch.node_member[batch.edges[:, 0]], minlength=len(sizes))
+    node_ends, edge_ends = np.cumsum(sizes), np.cumsum(edge_counts)
+    bounds = zip(
+        (node_ends - sizes).tolist(),
+        node_ends.tolist(),
+        (edge_ends - edge_counts).tolist(),
+        edge_ends.tolist(),
+        batch.target_rels.tolist(),
+        batch.target_edge_pos.tolist(),
+    )
+    return [
+        LabeledSubgraph(
+            nodes=batch.nodes[n0:n1].tolist(),
+            edges=batch.edges[e0:e1] - np.array([n0, 0, n0]),
+            target=(0, r_t, 1),
+            target_edge_pos=pos - e0,
+            k=batch.k,
+            dist_u=batch.dist_u[n0:n1].tolist(),
+            dist_v=batch.dist_v[n0:n1].tolist(),
+            features=None if batch.features is None else batch.features[n0:n1],
+        )
+        for n0, n1, e0, e1, r_t, pos in bounds
     ]
-    edges.sort()
-    return edges
+
+
+def batch_subgraphs(subs: list[LabeledSubgraph]) -> SubgraphBatch:
+    """Offset and concatenate subgraphs into one disjoint union, in the given order."""
+    if not subs:
+        raise ValueError("need at least one subgraph to batch")
+    sizes = np.array([s.num_nodes for s in subs], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    edge_counts = np.array([len(s.edges) for s in subs], dtype=np.intp)
+    edges = np.concatenate([s.edges for s in subs])
+    edge_starts = np.repeat(starts, edge_counts)
+    edges[:, 0] += edge_starts
+    edges[:, 2] += edge_starts
+    targets = np.array([s.target for s in subs], dtype=np.intp)
+    target_pos = np.array([s.target_edge_pos for s in subs], dtype=np.intp)
+    num = int(sizes.sum())
+
+    def rows(name: str) -> np.ndarray:
+        return np.fromiter(chain.from_iterable(getattr(s, name) for s in subs), np.intp, num)
+
+    unlabeled = any(s.features is None for s in subs)
+    return SubgraphBatch(
+        nodes=rows("nodes"),
+        edges=edges,
+        edge_target_rels=np.repeat(targets[:, 1], edge_counts),
+        node_member=np.repeat(np.arange(len(subs)), sizes),
+        member_sizes=sizes,
+        u_rows=starts + targets[:, 0],
+        v_rows=starts + targets[:, 2],
+        target_rels=targets[:, 1],
+        target_edge_pos=np.cumsum(edge_counts) - edge_counts + target_pos,
+        k=subs[0].k,
+        dist_u=rows("dist_u"),
+        dist_v=rows("dist_v"),
+        features=None if unlabeled else np.concatenate([s.features for s in subs]),
+    )
 
 
 def label_nodes(
-    sub: LabeledSubgraph,
+    sub: LabeledSubgraph | SubgraphBatch,
     scheme: str = "double_radius",
     aux_features: Mapping[int, np.ndarray] | None = None,
-) -> LabeledSubgraph:
-    """Attach one-hot node features; dist_u/dist_v stay as extracted.
+) -> LabeledSubgraph | SubgraphBatch:
+    """Attach one-hot node features to a subgraph or a union; distances stay as extracted.
 
     double_radius: node i is encoded by its (dist_u[i], dist_v[i]).
 
@@ -187,15 +322,15 @@ def label_nodes(
     """
     if scheme not in LABEL_SCHEMES:
         raise ValueError(f"unknown labeling scheme {scheme!r}, expected one of {LABEL_SCHEMES}")
-    n = sub.num_nodes
+    n = len(sub.nodes)
     width = sub.k + 2
     feats = np.zeros((n, 2 * width), dtype=np.float64)
     if scheme == "constant":
         feats[:, [1, width + 1]] = 1.0
     else:
-        for i, (du, dv) in enumerate(zip(sub.dist_u, sub.dist_v)):
-            feats[i, du] = 1.0
-            feats[i, width + dv] = 1.0
+        rows = np.arange(n)
+        feats[rows, sub.dist_u] = 1.0
+        feats[rows, width + np.asarray(sub.dist_v)] = 1.0
     if aux_features is not None:
         aux = []
         for orig in sub.nodes:

@@ -20,7 +20,15 @@ from .model import (
     sample_edge_masks,
     score_triplet,
 )
-from .subgraph import EXTRACTION_MODES, LABEL_SCHEMES, extract_enclosing, feature_dim, label_nodes
+from .subgraph import (
+    EXTRACTION_MODES,
+    LABEL_SCHEMES,
+    extract_enclosing,
+    extract_union,
+    feature_dim,
+    label_nodes,
+    union_members,
+)
 
 __all__ = [
     "TrainConfig",
@@ -427,23 +435,25 @@ def train(
         first_epoch = 1
     named_params = params.named_tensors()
 
+    def labeled_union(trips: list[tuple[int, int, int]]):
+        union = extract_union(g_train, trips, tcfg.hops, tcfg.extraction_mode)
+        return label_nodes(union, tcfg.labeling, aux_ids)
+
     sub_cache: dict[tuple[int, int, int], object] = {}
 
-    def labeled_sub(trip: tuple[int, int, int], cache: bool):
-        if cache and trip in sub_cache:
-            return sub_cache[trip]
-        h, r, t = trip
-        sub = extract_enclosing(g_train, h, t, r, tcfg.hops, tcfg.extraction_mode)
-        sub = label_nodes(sub, tcfg.labeling, aux_ids)
-        if cache:
-            sub_cache[trip] = sub
+    def positive_sub(trip: tuple[int, int, int]):
+        sub = sub_cache.get(trip)
+        if sub is None:
+            h, r, t = trip
+            sub = extract_enclosing(g_train, h, t, r, tcfg.hops, tcfg.extraction_mode)
+            sub = sub_cache[trip] = label_nodes(sub, tcfg.labeling, aux_ids)
         return sub
 
     # validation positives/negatives and their subgraphs are fixed for the run
     rng_valid = np.random.default_rng([seed, _S_VALID])
     valid_negs = [sample_negative(g_train, trip, rng_valid) for trip in valid_pos]
-    valid_pos_batch = batch_subgraphs([labeled_sub(t, cache=False) for t in valid_pos])
-    valid_neg_batch = batch_subgraphs([labeled_sub(t, cache=False) for t in valid_negs])
+    valid_pos_batch = labeled_union(valid_pos)
+    valid_neg_batch = labeled_union(valid_negs)
 
     def validation_auc() -> float:
         with ad.no_grad():
@@ -468,19 +478,19 @@ def train(
             batch = sorted(int(i) for i in order[lo : lo + tcfg.batch_size])
             for p in named_params.values():
                 p.zero_grad()
+            pos_trips = [positives[idx] for idx in batch]
+            negs = [sample_negative(g_train, pos, rng_neg)
+                    for pos in pos_trips for _ in range(tcfg.neg_per_pos)]
+            neg_subs = iter(union_members(labeled_union(negs)))
             # one union per minibatch: each positive, then its negatives
-            subs, masks, pos_rows, neg_rows = [], [], [], []
-            for idx in batch:
-                pos = positives[idx]
-                pos_row = len(subs)
-                subs.append(labeled_sub(pos, cache=True))
-                masks.append(sample_edge_masks(subs[-1], gcfg, rng_drop))
+            subs, pos_rows, neg_rows = [], [], []
+            for pos in pos_trips:
+                pos_rows += [len(subs)] * tcfg.neg_per_pos
+                subs.append(positive_sub(pos))
                 for _ in range(tcfg.neg_per_pos):
-                    neg = sample_negative(g_train, pos, rng_neg)
-                    pos_rows.append(pos_row)
                     neg_rows.append(len(subs))
-                    subs.append(labeled_sub(neg, cache=False))
-                    masks.append(sample_edge_masks(subs[-1], gcfg, rng_drop))
+                    subs.append(next(neg_subs))
+            masks = [sample_edge_masks(sub, gcfg, rng_drop) for sub in subs]
             union_masks = [np.concatenate(layer) for layer in zip(*masks)]
             scores = score_triplet(batch_subgraphs(subs), params, gcfg, dropout_masks=union_masks)
             pos_scores = ad.slice_rows(scores, pos_rows)

@@ -298,3 +298,19 @@ def test_composite_expression_grad():
 def test_tensor_repr_mentions_shape():
     t = Tensor(np.ones((2, 3)))
     assert "2, 3" in repr(t) or "(2, 3)" in repr(t)
+
+
+def test_parents_fed_one_adjoint_get_separate_gradient_buffers():
+    # add's vjp hands its one adjoint to both parents and concat's hands out
+    # views of it; every tensor must still accumulate into a buffer of its own
+    rng = np.random.default_rng(40)
+    a, b, c, d = (rnd(rng, 2, 3) for _ in range(4))
+    for _ in range(2):
+        summed, joined = add(a, b), concat([c, d])
+        sum_all(summed).backward()
+        sum_all(joined).backward()
+    grads = [t.grad for t in (a, b, summed, c, d, joined)]
+    for i, x in enumerate(grads):
+        assert not any(np.shares_memory(x, y) for y in grads[i + 1 :])
+    for leaf in (a, b, c, d):
+        assert np.array_equal(leaf.grad, np.full((2, 3), 2.0))

@@ -251,6 +251,23 @@ def test_ensemble_command(workdir, tmp_path):
     assert float(rows["gain_over_best"]) == pytest.approx((float(rows["fused"]) - best) / best)
 
 
+def test_eval_rejects_eval_negatives_below_one_exit_2(workdir, tmp_path, capsys):
+    # no rank negatives would rank every positive first: Hits@10 = 1.0
+    bad = str(tmp_path / "bad.cfg")
+    out = str(tmp_path / "x")
+    test = os.path.join(workdir["bench"], "test.txt")
+    for value in (0, -3):
+        open(bad, "w").write(f"eval_negatives={value}\n")
+        for graph in (os.path.join(workdir["bench"], "ind_test_graph.txt"),
+                      str(tmp_path / "no_graph.txt")):  # checked before the graph is read
+            capsys.readouterr()
+            code = main(["eval", "--checkpoint", workdir["ck"], "--graph", graph,
+                         "--test", test, "--config", bad, "--out-dir", out])
+            assert code == 2
+            assert f"eval_negatives must be >= 1, got {value}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_unknown_config_key_exit_2(workdir, tmp_path):
     bad = str(tmp_path / "bad.cfg")
     open(bad, "w").write("epochz=3\n")

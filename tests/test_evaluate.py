@@ -149,6 +149,35 @@ def test_scorer_forbidden_edge_assertion():
     assert np.all(np.isfinite(scorer(g, [(a, q, c)], set())))
 
 
+def test_a_leak_in_a_later_union_member_is_named():
+    # two components: x1-x2-x3 and the a, b, c triangle
+    scorer = scorer_fixture(["p", "q"])
+    g = load_triples("x1\tp\tx2\nx2\tp\tx3\na\tp\tb\nb\tp\tc\na\tq\tc\n")
+    e = g.entity_ids
+    p, q = g.relation_ids["p"], g.relation_ids["q"]
+    chain, triangle = (e["x1"], q, e["x3"]), (e["a"], q, e["c"])
+    with pytest.raises(AssertionError, match=r"leaked into message passing: \('a', 'p', 'b'\)"):
+        scorer(g, [chain, chain, triangle], {(e["a"], p, e["b"])})
+    # each member's own candidate edge may be held out, wherever it sits
+    # (pruning leaves x1-x2 and x2-x3 only their own edge)
+    first, last = (e["x1"], p, e["x2"]), (e["x2"], p, e["x3"])
+    for candidates in ([first, triangle, last], [last, triangle, first]):
+        held = {first, triangle}
+        assert scorer(g, candidates, held) == scorer(g, candidates, set())
+
+
+def test_a_bad_id_in_a_later_member_fails_the_scorer_as_it_fails_alone():
+    scorer = scorer_fixture(["p", "q"])
+    g = load_triples("a\tp\tb\nb\tp\tc\na\tq\tc\n")
+    good = [(0, 0, 1), (1, 1, 2)]
+    for u, r, v in ((0, 0, 3), (0, 2, 1), (2, 0, 2)):
+        with pytest.raises(ValueError) as alone:
+            extract_enclosing(g, u, v, r, 2)
+        with pytest.raises(ValueError) as in_union:
+            scorer(g, good + [(u, r, v)], set())
+        assert str(in_union.value) == str(alone.value)
+
+
 def test_failed_evaluate_clears_forbidden_edges():
     scorer = scorer_fixture(["p", "q"])
     g = load_triples("a\tp\tc\nc\tp\tb\nb\tunknown\td\n")
@@ -259,6 +288,10 @@ def test_evaluate_input_validation():
     g = load_triples("a\tr\tb\nb\tr\tc\n")
     with pytest.raises(ValueError, match="no test edges"):
         evaluate(lambda g, cands, held: [1.0] * len(cands), g, [], num_negatives=2)
+    # no rank negatives would rank every positive first
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"num_negatives must be >= 1, got {bad}"):
+            evaluate(lambda g, cands, held: [1.0] * len(cands), g, [(0, 0, 1)], num_negatives=bad)
 
 
 def test_report_files_roundtrip(tmp_path):

@@ -10,9 +10,11 @@ from grail.subgraph import (
     EXTRACTION_MODES,
     LABEL_SCHEMES,
     extract_enclosing,
+    extract_union,
     feature_dim,
     label_nodes,
     parse_aux_features,
+    union_members,
 )
 
 from oracles import (
@@ -161,6 +163,28 @@ def test_one_pruning_pass_reaches_the_fixed_point():
 GOLDEN_EXTRACTION_SHA256 = "402e9c3f9d0a5be077f8f30d1a0959f1a9d8c1955799b262f559a72dfd960eb1"
 
 
+def _digest_graphs(num_graphs: int):
+    """The digests' seeded random graphs, each with its k and four candidates (u, r, v)."""
+    rng = np.random.default_rng(13)
+    for _ in range(num_graphs):
+        g = random_kg(rng, int(rng.integers(3, 30)), int(rng.integers(1, 6)),
+                      int(rng.integers(2, 60)), allow_self_loops=True)
+        k = int(rng.integers(1, 4))
+        candidates = []
+        for _ in range(4):
+            u, v = (int(x) for x in rng.choice(g.num_entities, size=2, replace=False))
+            candidates.append((u, int(rng.integers(g.num_relations)), v))
+        yield g, k, candidates
+
+
+def _hash_member(digest, sub, features) -> None:
+    ints = sub.nodes + sub.dist_u + sub.dist_v + [sub.target_edge_pos]
+    digest.update(np.array(ints, np.int64).tobytes())
+    digest.update(sub.edges.astype(np.int64).tobytes())
+    for feats in features:
+        digest.update(feats.tobytes())
+
+
 def _extraction_digest(num_graphs: int) -> str:
     """sha256 over 8 seeded extractions per graph, labeled under both schemes.
 
@@ -168,28 +192,71 @@ def _extraction_digest(num_graphs: int) -> str:
     extracted in both modes, so later candidates reuse the graph's k-hop memo.
     Hashes nodes, distances, target position, edge rows and feature bytes.
     """
-    rng = np.random.default_rng(13)
     digest = hashlib.sha256()
-    for _ in range(num_graphs):
-        g = random_kg(rng, int(rng.integers(3, 30)), int(rng.integers(1, 6)),
-                      int(rng.integers(2, 60)), allow_self_loops=True)
-        k = int(rng.integers(1, 4))
-        for _ in range(4):
-            u, v = (int(x) for x in rng.choice(g.num_entities, size=2, replace=False))
-            r = int(rng.integers(g.num_relations))
+    for g, k, candidates in _digest_graphs(num_graphs):
+        for u, r, v in candidates:
             for mode in EXTRACTION_MODES:
                 sub = extract_enclosing(g, u, v, r, k, mode=mode)
-                ints = sub.nodes + sub.dist_u + sub.dist_v + [sub.target_edge_pos]
-                digest.update(np.array(ints, np.int64).tobytes())
-                digest.update(sub.edges.astype(np.int64).tobytes())
-                for scheme in LABEL_SCHEMES:
-                    digest.update(label_nodes(sub, scheme).features.tobytes())
+                _hash_member(digest, sub, [label_nodes(sub, s).features for s in LABEL_SCHEMES])
+    return digest.hexdigest()
+
+
+def _union_digest(num_graphs: int) -> str:
+    """_extraction_digest's hash, with every extraction made inside a union.
+
+    Per graph and mode, the four candidates are shuffled among 0-8 seeded
+    filler candidates (extracted, never hashed) and extracted in seeded
+    unions of 1-8 members.  Each union is labeled as a whole under both
+    schemes, and each candidate's member is hashed as union_members gives it.
+    """
+    rng = np.random.default_rng(14)
+    digest = hashlib.sha256()
+    for g, k, candidates in _digest_graphs(num_graphs):
+        members = {}
+        for mode in EXTRACTION_MODES:
+            queue = list(candidates)
+            for _ in range(int(rng.integers(0, 9))):
+                u, v = (int(x) for x in rng.choice(g.num_entities, size=2, replace=False))
+                queue.append((u, int(rng.integers(g.num_relations)), v))
+            order = rng.permutation(len(queue)).tolist()
+            while order:
+                size = int(rng.integers(1, 9))
+                chunk, order = order[:size], order[size:]
+                union = extract_union(g, [queue[i] for i in chunk], k, mode)
+                labeled = [union_members(label_nodes(union, s)) for s in LABEL_SCHEMES]
+                for j, i in enumerate(chunk):
+                    members[i, mode] = (labeled[0][j], [subs[j].features for subs in labeled])
+        for i in range(len(candidates)):
+            for mode in EXTRACTION_MODES:
+                _hash_member(digest, *members[i, mode])
     return digest.hexdigest()
 
 
 def test_extraction_is_bit_identical_to_the_golden_hash():
     # 2,000 extractions; a change here means subgraphs or labels moved
     assert _extraction_digest(250) == GOLDEN_EXTRACTION_SHA256
+
+
+def test_unions_reproduce_the_golden_hash():
+    # the same 2,000 extractions made inside unions of 1-8 members: a row or
+    # edge offset that slips across members moves some member's hash
+    assert _union_digest(250) == GOLDEN_EXTRACTION_SHA256
+
+
+def test_a_bad_later_member_fails_the_union_as_it_fails_alone():
+    g = chain_graph()
+    n, m = g.num_entities, g.num_relations
+    good = [(0, 0, 1), (1, 1, 2)]
+    for u, r, v in ((0, 0, n), (-1, 0, 1), (0, m, 1), (2, 0, 2)):
+        with pytest.raises(ValueError) as alone:
+            extract_enclosing(g, u, v, r, 2)
+        for candidates in (good + [(u, r, v)], good + [(u, r, v)] + good):
+            with pytest.raises(ValueError) as in_union:
+                extract_union(g, candidates, 2)
+            assert str(in_union.value) == str(alone.value)
+    assert str(alone.value) == "target nodes must differ, got u == v == 2"
+    with pytest.raises(ValueError, match="at least one candidate"):
+        extract_union(g, [], 2)
 
 
 def test_double_radius_labels():
