@@ -3,7 +3,8 @@
 Every operation records its parents and a vector-Jacobian product on the
 output node.  backward() walks nodes in reverse construction order (which is
 a topological order) and accumulates adjoints, so fan-out is handled by
-summation and repeated backward calls add another full pass into .grad.
+summation and repeated backward calls add another full pass into the
+leaves' .grad.
 Inside no_grad() operations record nothing, for scoring without backward.
 """
 
@@ -81,7 +82,9 @@ class Tensor:
             self._grad += g
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into .grad of every requires_grad ancestor."""
+        """Accumulate d(self)/d(leaf) into .grad of every requires_grad leaf, a
+        tensor without a vjp; intermediate tensors pass their adjoints on and
+        store none, so their .grad stays zero."""
         if self.data.size != 1:
             raise ValueError(f"backward() root must be a scalar, got shape {self.data.shape}")
         order: list[Tensor] = []
@@ -102,8 +105,8 @@ class Tensor:
             g = adjoint.pop(id(node), None)
             if g is None:
                 continue
-            node._accum(g)
             if node._vjp is None:
+                node._accum(g)
                 continue
             contribs = node._vjp(g)
             for parent, contrib in zip(node._parents, contribs):

@@ -161,11 +161,18 @@ def _check_held_out(
     g: KnowledgeGraph, batch: SubgraphBatch, held_out: set[tuple[int, int, int]]
 ) -> None:
     """Raise AssertionError naming the first held-out edge of the union that
-    is not its member's candidate edge."""
+    is not its member's candidate edge, and ValueError naming a held-out
+    triple with an id outside g (its key could alias another edge's)."""
     if not held_out:
         return
     n, m = g.num_entities, g.num_relations
     held = np.array(list(held_out), dtype=np.intp).reshape(-1, 3)
+    outside = ((held < 0) | (held >= (n, m, n))).any(axis=1)
+    if outside.any():
+        bad = tuple(held[np.argmax(outside)].tolist())
+        raise ValueError(
+            f"held-out triple {bad} is outside the graph's {n} entities and {m} relations"
+        )
     held_keys = np.sort((held[:, 0] * m + held[:, 1]) * n + held[:, 2], kind="stable")
     heads, tails = batch.nodes[batch.edges[:, 0]], batch.nodes[batch.edges[:, 2]]
     rels = batch.edges[:, 1]

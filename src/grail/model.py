@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .subgraph import LabeledSubgraph, SubgraphBatch, batch_subgraphs
+from .subgraph import SubgraphBatch
 
 
 @dataclass
@@ -217,39 +217,41 @@ def layer_forward(
 
 
 def sample_edge_masks(
-    sub: LabeledSubgraph, cfg: GnnConfig, rng: np.random.Generator
+    union: SubgraphBatch, cfg: GnnConfig, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Per-layer Bernoulli keep masks; the candidate edge is never dropped.
+    """Per-layer Bernoulli keep masks over the union's edges; no member's
+    candidate edge is dropped.
 
-    No 1/(1-p) rescaling: evaluation simply runs with all-ones masks.
+    One rng.random call draws them all, read member by member and, within a
+    member, layer by layer: the order of drawing each member's layers in
+    turn.  At rate 0 nothing is drawn.  No 1/(1-p) rescaling: evaluation
+    simply runs with all-ones masks.
     """
-    num_edges = len(sub.edges)
-    masks = []
-    for _ in range(cfg.num_layers):
-        if cfg.edge_dropout_rate == 0.0:
-            mask = np.ones(num_edges)
-        else:
-            mask = (rng.random(num_edges) >= cfg.edge_dropout_rate).astype(np.float64)
-            mask[sub.target_edge_pos] = 1.0
-        masks.append(mask)
-    return masks
+    num_edges, layers = len(union.edges), cfg.num_layers
+    if cfg.edge_dropout_rate == 0.0:
+        return [np.ones(num_edges) for _ in range(layers)]
+    counts = union.edge_counts
+    # member m's draws begin at layers * (its first edge row), one block of counts[m] per layer
+    first = (layers - 1) * np.repeat(np.cumsum(counts) - counts, counts) + np.arange(num_edges)
+    at = first + np.arange(layers).reshape(-1, 1) * np.repeat(counts, counts)
+    masks = (rng.random(layers * num_edges)[at] >= cfg.edge_dropout_rate).astype(np.float64)
+    masks[:, union.target_edge_pos] = 1.0
+    return list(masks)
 
 
 def score_triplet(
-    sub: LabeledSubgraph | SubgraphBatch,
+    batch: SubgraphBatch,
     params: GnnParams,
     cfg: GnnConfig,
     dropout_masks: list[np.ndarray] | None = None,
 ) -> Tensor:
-    """Plausibility scores of candidate edges, shape (members, 1).
+    """Plausibility scores of a labeled union's candidate edges, shape (members, 1).
 
-    sub is one labeled subgraph (a batch of one) or a disjoint union from
-    batch_subgraphs; dropout_masks holds one mask per layer over the
-    union's edges.  Each member's readout concatenates [mean of its own
-    node states, u, v, target-relation embedding]; with jk_enabled the block
-    from every layer is concatenated, otherwise only the final layer's.
+    dropout_masks holds one mask per layer over the union's edges.  Each
+    member's readout concatenates [mean of its own node states, u, v,
+    target-relation embedding]; with jk_enabled the block from every layer
+    is concatenated, otherwise only the final layer's.
     """
-    batch = sub if isinstance(sub, SubgraphBatch) else batch_subgraphs([sub])
     if batch.features is None:
         raise ValueError("subgraph is unlabeled; call label_nodes before scoring")
     if dropout_masks is not None and len(dropout_masks) != cfg.num_layers:

@@ -16,39 +16,17 @@ LABEL_SCHEMES = ("double_radius", "constant")
 
 
 @dataclass
-class LabeledSubgraph:
-    """A candidate edge's local neighborhood with positional node features.
-
-    Nodes are original graph ids in canonical order (u, v, then ascending);
-    edges are (E, 3) directed (head, relation, tail) rows over local indices.
-    The scored candidate edge appears in `edges` exactly once, at position
-    `target_edge_pos`.  dist_u/dist_v are the double-radius distances of
-    each node; features are set by label_nodes.
-    """
-
-    nodes: list[int]
-    edges: np.ndarray
-    target: tuple[int, int, int]
-    target_edge_pos: int
-    k: int
-    dist_u: list[int]
-    dist_v: list[int]
-    features: np.ndarray | None = None
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass
 class SubgraphBatch:
-    """A disjoint union of labeled subgraphs, scored in one pass.
+    """A disjoint union of candidate edges' subgraphs, scored in one pass.
 
-    Member i owns a contiguous block of node rows, starting at the sum of
-    the earlier members' sizes, and a contiguous block of edge rows; edges
-    are (head, relation, tail) rows over union node rows, each member's
-    edges in its own order.  nodes, dist_u and dist_v hold what a
-    LabeledSubgraph holds, one entry per node row.
+    The one subgraph record: a single candidate's subgraph is a union of
+    one member.  Member i owns a contiguous block of node rows, starting at
+    the sum of the earlier members' sizes, in canonical order (u, v, then
+    ascending graph id), and a contiguous block of edge rows; edges are
+    (head, relation, tail) rows over union node rows, each member's in its
+    own order, and each member's candidate edge appears in its block
+    exactly once.  dist_u/dist_v are each node's double-radius distances;
+    features are set by label_nodes.
     """
 
     nodes: np.ndarray             # (N,) graph id of each node row
@@ -69,6 +47,11 @@ class SubgraphBatch:
     def num_nodes(self) -> int:
         return self.node_member.shape[0]
 
+    @property
+    def edge_counts(self) -> np.ndarray:
+        """(B,) edges per member."""
+        return np.bincount(self.node_member[self.edges[:, 0]], minlength=len(self.member_sizes))
+
 
 def extract_enclosing(
     g: KnowledgeGraph,
@@ -77,7 +60,7 @@ def extract_enclosing(
     r_t: int,
     k: int,
     mode: str = "enclosing",
-) -> LabeledSubgraph:
+) -> SubgraphBatch:
     """Extract the local subgraph evidence for candidate edge (u, r_t, v).
 
     enclosing: intersection of the k-hop neighborhoods of u and v, then one
@@ -104,10 +87,10 @@ def extract_enclosing(
     never shortens a path, since each search removes one of its ends.
 
     The candidate edge is appended to the edge list if not already induced,
-    so message passing can always see it.  This is the one-member case of
-    extract_union.
+    so message passing can always see it.  The result is the one-member
+    union of extract_union.
     """
-    return union_members(extract_union(g, [(u, r_t, v)], k, mode))[0]
+    return extract_union(g, [(u, r_t, v)], k, mode)
 
 
 def extract_union(
@@ -118,8 +101,8 @@ def extract_union(
 ) -> SubgraphBatch:
     """The unlabeled disjoint union of the subgraphs of candidates (u, r_t, v).
 
-    Member i is what extract_enclosing(g, u, v, r_t, k, mode) gives for
-    candidate i, and all members are built together in array passes: the
+    Member i is candidate i's subgraph as extract_enclosing describes it,
+    and all members are built together in array passes: the
     out-edges of every member's nodes are gathered from g.out_csr and kept
     where the tail is in the same member, one sort puts them in canonical
     (local head, relation, local tail) order, each side runs one
@@ -160,7 +143,7 @@ def extract_union(
     first = indptr[nodes]
     degree = indptr[nodes + 1] - first
     heads = np.repeat(np.arange(len(nodes)), degree)
-    at = np.arange(heads.size) + np.repeat(first - (np.cumsum(degree) - degree), degree)
+    at = _ranges(first, degree)
     tail_keys = member[heads] * g.num_entities + out_tails[at]
     found = np.searchsorted(keys[:-1], tail_keys)
     inside = keys[found] == tail_keys
@@ -174,7 +157,7 @@ def extract_union(
     loops = edges[:, 0] == edges[:, 2]
     src = np.concatenate([edges[~loops, 0], edges[~loops, 2]])
     dst = np.concatenate([edges[~loops, 2], edges[~loops, 0]])
-    starts = np.cumsum(sizes) - sizes
+    starts = _starts(sizes)
     dist_u = _levels(src, dst, len(nodes), starts, starts + 1, k)
     dist_v = _levels(src, dst, len(nodes), starts + 1, starts, k)
     if mode == "enclosing":
@@ -186,7 +169,7 @@ def extract_union(
             edges[:, 2] = renumber[edges[:, 2]]
             nodes, member, dist_u, dist_v = nodes[keep], member[keep], dist_u[keep], dist_v[keep]
             sizes = np.bincount(member, minlength=len(sizes))
-            starts = np.cumsum(sizes) - sizes
+            starts = _starts(sizes)
 
     # the edge rows still ascend in (head, relation, tail), so one search
     # finds each candidate edge; missing ones go after their member's edges
@@ -240,76 +223,81 @@ def _levels(
     return dist
 
 
-def union_members(batch: SubgraphBatch) -> list[LabeledSubgraph]:
-    """The members of a union as separate subgraphs, in order (batch_subgraphs undoes it)."""
-    sizes = batch.member_sizes
-    edge_counts = np.bincount(batch.node_member[batch.edges[:, 0]], minlength=len(sizes))
-    node_ends, edge_ends = np.cumsum(sizes), np.cumsum(edge_counts)
-    bounds = zip(
-        (node_ends - sizes).tolist(),
-        node_ends.tolist(),
-        (edge_ends - edge_counts).tolist(),
-        edge_ends.tolist(),
-        batch.target_rels.tolist(),
-        batch.target_edge_pos.tolist(),
-    )
-    return [
-        LabeledSubgraph(
-            nodes=batch.nodes[n0:n1].tolist(),
-            edges=batch.edges[e0:e1] - np.array([n0, 0, n0]),
-            target=(0, r_t, 1),
-            target_edge_pos=pos - e0,
-            k=batch.k,
-            dist_u=batch.dist_u[n0:n1].tolist(),
-            dist_v=batch.dist_v[n0:n1].tolist(),
-            features=None if batch.features is None else batch.features[n0:n1],
-        )
-        for n0, n1, e0, e1, r_t, pos in bounds
-    ]
+def _starts(sizes) -> np.ndarray:
+    """Where each block starts when blocks of these sizes are laid end to end."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    return np.cumsum(sizes) - sizes
 
 
-def batch_subgraphs(subs: list[LabeledSubgraph]) -> SubgraphBatch:
-    """Offset and concatenate subgraphs into one disjoint union, in the given order."""
-    if not subs:
-        raise ValueError("need at least one subgraph to batch")
-    sizes = np.array([s.num_nodes for s in subs], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    edge_counts = np.array([len(s.edges) for s in subs], dtype=np.intp)
-    edges = np.concatenate([s.edges for s in subs])
-    edge_starts = np.repeat(starts, edge_counts)
-    edges[:, 0] += edge_starts
-    edges[:, 2] += edge_starts
-    targets = np.array([s.target for s in subs], dtype=np.intp)
-    target_pos = np.array([s.target_edge_pos for s in subs], dtype=np.intp)
-    num = int(sizes.sum())
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices starts[i], ..., starts[i] + lengths[i] - 1 for every i, in order."""
+    return np.arange(lengths.sum()) + np.repeat(starts - _starts(lengths), lengths)
 
-    def rows(name: str) -> np.ndarray:
-        return np.fromiter(chain.from_iterable(getattr(s, name) for s in subs), np.intp, num)
 
-    unlabeled = any(s.features is None for s in subs)
+def join(unions: list[SubgraphBatch]) -> SubgraphBatch:
+    """Concatenate unions into one, members in the given order; the result
+    is labeled only if every part is."""
+    if not unions:
+        raise ValueError("need at least one union to join")
+    node_at = _starts([part.num_nodes for part in unions])
+
+    def cat(name: str, shifts=(0,) * len(unions)) -> np.ndarray:
+        return np.concatenate([getattr(part, name) + at for part, at in zip(unions, shifts)])
+
+    unlabeled = any(part.features is None for part in unions)
     return SubgraphBatch(
-        nodes=rows("nodes"),
+        nodes=cat("nodes"),
+        edges=cat("edges", [np.array([at, 0, at]) for at in node_at]),
+        edge_target_rels=cat("edge_target_rels"),
+        node_member=cat("node_member", _starts([len(part.member_sizes) for part in unions])),
+        member_sizes=cat("member_sizes"),
+        u_rows=cat("u_rows", node_at),
+        v_rows=cat("v_rows", node_at),
+        target_rels=cat("target_rels"),
+        target_edge_pos=cat("target_edge_pos", _starts([len(part.edges) for part in unions])),
+        k=unions[0].k,
+        dist_u=cat("dist_u"),
+        dist_v=cat("dist_v"),
+        features=None if unlabeled else cat("features"),
+    )
+
+
+def take_members(union: SubgraphBatch, rows) -> SubgraphBatch:
+    """The union of members rows[0], rows[1], ... of union, in that order."""
+    rows = np.asarray(rows, dtype=np.intp)
+    edge_counts = union.edge_counts
+    sizes, counts = union.member_sizes[rows], edge_counts[rows]
+    node_starts, edge_starts = _starts(union.member_sizes)[rows], _starts(edge_counts)[rows]
+    at_nodes = _ranges(node_starts, sizes)
+    at_edges = _ranges(edge_starts, counts)
+    shift = _starts(sizes) - node_starts  # each member's node rows move by this
+    edges = union.edges[at_edges]
+    edge_shift = np.repeat(shift, counts)
+    edges[:, 0] += edge_shift
+    edges[:, 2] += edge_shift
+    return SubgraphBatch(
+        nodes=union.nodes[at_nodes],
         edges=edges,
-        edge_target_rels=np.repeat(targets[:, 1], edge_counts),
-        node_member=np.repeat(np.arange(len(subs)), sizes),
+        edge_target_rels=union.edge_target_rels[at_edges],
+        node_member=np.repeat(np.arange(len(rows)), sizes),
         member_sizes=sizes,
-        u_rows=starts + targets[:, 0],
-        v_rows=starts + targets[:, 2],
-        target_rels=targets[:, 1],
-        target_edge_pos=np.cumsum(edge_counts) - edge_counts + target_pos,
-        k=subs[0].k,
-        dist_u=rows("dist_u"),
-        dist_v=rows("dist_v"),
-        features=None if unlabeled else np.concatenate([s.features for s in subs]),
+        u_rows=union.u_rows[rows] + shift,
+        v_rows=union.v_rows[rows] + shift,
+        target_rels=union.target_rels[rows],
+        target_edge_pos=union.target_edge_pos[rows] - edge_starts + _starts(counts),
+        k=union.k,
+        dist_u=union.dist_u[at_nodes],
+        dist_v=union.dist_v[at_nodes],
+        features=None if union.features is None else union.features[at_nodes],
     )
 
 
 def label_nodes(
-    sub: LabeledSubgraph | SubgraphBatch,
+    sub: SubgraphBatch,
     scheme: str = "double_radius",
     aux_features: Mapping[int, np.ndarray] | None = None,
-) -> LabeledSubgraph | SubgraphBatch:
-    """Attach one-hot node features to a subgraph or a union; distances stay as extracted.
+) -> SubgraphBatch:
+    """Attach one-hot node features to every member; distances stay as extracted.
 
     double_radius: node i is encoded by its (dist_u[i], dist_v[i]).
 
@@ -330,10 +318,10 @@ def label_nodes(
     else:
         rows = np.arange(n)
         feats[rows, sub.dist_u] = 1.0
-        feats[rows, width + np.asarray(sub.dist_v)] = 1.0
+        feats[rows, width + sub.dist_v] = 1.0
     if aux_features is not None:
         aux = []
-        for orig in sub.nodes:
+        for orig in sub.nodes.tolist():
             vec = aux_features.get(orig)
             if vec is None:
                 raise ValueError(f"auxiliary features missing entity id {orig}")
@@ -352,6 +340,7 @@ def feature_dim(k: int, aux_dim: int = 0) -> int:
 def parse_aux_features(text: str) -> dict[str, np.ndarray]:
     """Parse `entity<TAB>f1,f2,...` lines into a name-keyed feature table."""
     table: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}
     dim = None
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line == "":
@@ -368,6 +357,9 @@ def parse_aux_features(text: str) -> dict[str, np.ndarray]:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:
             raise ValueError(f"feature line {lineno} has {vec.shape[0]} values, expected {dim}")
+        if name in line_of:
+            raise ValueError(f"entity {name!r} has features on lines {line_of[name]} and {lineno}")
+        line_of[name] = lineno
         table[name] = vec
     if not table:
         raise ValueError("no feature lines found in input")

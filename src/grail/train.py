@@ -14,7 +14,6 @@ from .kg import KnowledgeGraph, atomic_open
 from .model import (
     GnnConfig,
     GnnParams,
-    batch_subgraphs,
     init_params,
     params_from_named,
     sample_edge_masks,
@@ -26,8 +25,9 @@ from .subgraph import (
     extract_enclosing,
     extract_union,
     feature_dim,
+    join,
     label_nodes,
-    union_members,
+    take_members,
 )
 
 __all__ = [
@@ -439,15 +439,10 @@ def train(
         union = extract_union(g_train, trips, tcfg.hops, tcfg.extraction_mode)
         return label_nodes(union, tcfg.labeling, aux_ids)
 
-    sub_cache: dict[tuple[int, int, int], object] = {}
-
-    def positive_sub(trip: tuple[int, int, int]):
-        sub = sub_cache.get(trip)
-        if sub is None:
-            h, r, t = trip
-            sub = extract_enclosing(g_train, h, t, r, tcfg.hops, tcfg.extraction_mode)
-            sub = sub_cache[trip] = label_nodes(sub, tcfg.labeling, aux_ids)
-        return sub
+    # every positive's subgraph, fixed for the run, as one labeled union
+    pos_subs = [extract_enclosing(g_train, h, t, r, tcfg.hops, tcfg.extraction_mode)
+                for h, r, t in positives]
+    pos_union = label_nodes(join(pos_subs), tcfg.labeling, aux_ids)
 
     # validation positives/negatives and their subgraphs are fixed for the run
     rng_valid = np.random.default_rng([seed, _S_VALID])
@@ -475,26 +470,23 @@ def train(
         order = rng_shuffle.permutation(len(positives))
         total_loss = 0.0
         for lo in range(0, len(order), tcfg.batch_size):
-            batch = sorted(int(i) for i in order[lo : lo + tcfg.batch_size])
+            batch = np.sort(order[lo : lo + tcfg.batch_size])
             for p in named_params.values():
                 p.zero_grad()
-            pos_trips = [positives[idx] for idx in batch]
-            negs = [sample_negative(g_train, pos, rng_neg)
-                    for pos in pos_trips for _ in range(tcfg.neg_per_pos)]
-            neg_subs = iter(union_members(labeled_union(negs)))
-            # one union per minibatch: each positive, then its negatives
-            subs, pos_rows, neg_rows = [], [], []
-            for pos in pos_trips:
-                pos_rows += [len(subs)] * tcfg.neg_per_pos
-                subs.append(positive_sub(pos))
-                for _ in range(tcfg.neg_per_pos):
-                    neg_rows.append(len(subs))
-                    subs.append(next(neg_subs))
-            masks = [sample_edge_masks(sub, gcfg, rng_drop) for sub in subs]
-            union_masks = [np.concatenate(layer) for layer in zip(*masks)]
-            scores = score_triplet(batch_subgraphs(subs), params, gcfg, dropout_masks=union_masks)
-            pos_scores = ad.slice_rows(scores, pos_rows)
-            neg_scores = ad.slice_rows(scores, neg_rows)
+            n = tcfg.neg_per_pos
+            negs = [sample_negative(g_train, positives[idx], rng_neg)
+                    for idx in batch.tolist() for _ in range(n)]
+            # one union per minibatch, each positive then its negatives: gathered
+            # from the batch's positives joined with the negatives after them
+            neg_members = len(batch) + np.arange(len(negs)).reshape(-1, n)
+            members = np.column_stack([np.arange(len(batch)), neg_members]).ravel()
+            parts = [take_members(pos_union, batch), labeled_union(negs)]
+            union = take_members(join(parts), members)
+            masks = sample_edge_masks(union, gcfg, rng_drop)
+            scores = score_triplet(union, params, gcfg, dropout_masks=masks)
+            rows = np.arange(len(members)).reshape(-1, n + 1)  # a positive, then its negatives
+            pos_scores = ad.slice_rows(scores, np.repeat(rows[:, 0], n))
+            neg_scores = ad.slice_rows(scores, rows[:, 1:].ravel())
             loss = ad.sum_all(hinge_loss(pos_scores, neg_scores, tcfg.margin))
             loss.backward()
             clip_gradients(named_params, tcfg.clip_norm)

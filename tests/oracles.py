@@ -187,7 +187,7 @@ def dense_gnn_reference(sub, params, cfg, dropout_masks=None) -> float:
     feats = sub.features
     n = feats.shape[0]
     h = feats.copy()
-    r_t = sub.target[1]
+    lu, r_t, lv = sub.u_rows[0], sub.target_rels[0], sub.v_rows[0]
     per_layer = []
     for layer in range(cfg.num_layers):
         lp = params.layers[layer]
@@ -209,7 +209,6 @@ def dense_gnn_reference(sub, params, cfg, dropout_masks=None) -> float:
             agg[dst] += msg
         h = np.maximum(0.0, h @ lp.w_self.data + agg)
         per_layer.append(h)
-    lu, _, lv = sub.target
     e_rt = params.target_rel_emb.data[r_t]
     chosen = per_layer if cfg.jk_enabled else per_layer[-1:]
     blocks = [

@@ -14,8 +14,8 @@ import pytest
 import grail.autodiff as ad
 from grail.autodiff import grad_check
 from grail.evaluate import GrailScorer, evaluate
-from grail.model import GnnConfig, batch_subgraphs, init_params, sample_edge_masks, score_triplet
-from grail.subgraph import EXTRACTION_MODES, extract_enclosing, feature_dim, label_nodes
+from grail.model import GnnConfig, init_params, sample_edge_masks, score_triplet
+from grail.subgraph import EXTRACTION_MODES, extract_enclosing, feature_dim, join, label_nodes
 from grail.train import TrainConfig, hinge_loss, scorer_from_checkpoint, train
 
 from oracles import random_kg, zero_grads
@@ -53,7 +53,7 @@ def test_union_scores_and_gradients_match_each_subgraph_alone():
 
         zero_grads(named)
         union_masks = [np.concatenate(layer) for layer in zip(*masks)]
-        scores = score_triplet(batch_subgraphs(subs), params, cfg, dropout_masks=union_masks)
+        scores = score_triplet(join(subs), params, cfg, dropout_masks=union_masks)
         assert scores.shape == (len(subs), 1)
         ad.sum_all(ad.apply_mask(scores, weights.reshape(-1, 1))).backward()
         union_grads = [p.grad.copy() for p in named]
@@ -78,7 +78,7 @@ def test_batched_hinge_loss_gradients_check_out():
     # zero exactly and the finite difference measures only roundoff
     subs = [_random_sub(rng, "enclosing", rel=rel) for rel in (0, 1, 0, 2, 0, 1)]
     masks = [sample_edge_masks(s, cfg, rng) for s in subs]
-    union = batch_subgraphs(subs)
+    union = join(subs)
     union_masks = [np.concatenate(layer) for layer in zip(*masks)]
 
     def loss():
@@ -103,13 +103,23 @@ def _toy_run():
 
 def test_train_and_evaluate_score_through_the_traced_entry_points(monkeypatch):
     # The benchmark's tracer replaces `score_triplet` where grail.train and
-    # grail.evaluate bind it and `layer_forward` in grail.model; per-layer
-    # metrics divide by these call counts.
+    # grail.evaluate bind it, `layer_forward` in grail.model and
+    # `extract_enclosing` where grail.train binds it; per-layer metrics divide
+    # by these call counts and take subgraph size percentiles from what
+    # `extract_enclosing` returns, so training must extract each positive
+    # through it once.
     g, valid, test, tcfg, cfg = _toy_run()
-    model_mod = sys.modules["grail.model"]
+    model_mod, train_mod = sys.modules["grail.model"], sys.modules["grail.train"]
     layer_forward, score = model_mod.layer_forward, model_mod.score_triplet
+    extract = train_mod.extract_enclosing
     layers = [0]
     calls = []
+    sizes = []
+
+    def counted_extract(*args, **kwargs):
+        out = extract(*args, **kwargs)
+        sizes.append((len(out.nodes), len(out.edges)))
+        return out
 
     def counted_layer(*args, **kwargs):
         layers[0] += 1
@@ -124,9 +134,12 @@ def test_train_and_evaluate_score_through_the_traced_entry_points(monkeypatch):
     monkeypatch.setattr(model_mod, "layer_forward", counted_layer)
     for name in ("grail.train", "grail.evaluate"):
         monkeypatch.setattr(sys.modules[name], "score_triplet", counted_score)
+    monkeypatch.setattr(train_mod, "extract_enclosing", counted_extract)
 
     best, _, _ = train(g, valid, tcfg, cfg)
     positives = [t for t in g.triples if t[0] != t[2]]
+    assert len(sizes) == len(positives) and tcfg.epochs > 1
+    assert all(nodes >= 2 and edges >= 1 for nodes, edges in sizes)
     batches = -(-len(positives) // tcfg.batch_size)
     # per epoch: one taped call per minibatch, then one untaped call per validation set
     per_epoch = [(cfg.num_layers, min(tcfg.batch_size, len(positives) - lo) * 2, True)
@@ -162,7 +175,7 @@ def test_scorer_score_is_bit_identical_to_the_taped_score_and_has_no_parents(mon
     assert len(returned) == 1
     assert returned[0]._parents == () and not returned[0].requires_grad
     subs = [label_nodes(extract_enclosing(g, h, t, r, K)) for h, r, t in candidates]
-    taped = score_triplet(batch_subgraphs(subs), params, cfg)
+    taped = score_triplet(join(subs), params, cfg)
     assert taped._parents and taped.requires_grad
     assert got == taped.data[:, 0].tolist()
     for score, sub in zip(got, subs):
@@ -177,6 +190,6 @@ def test_batch_needs_members_and_labels():
     sub = _random_sub(rng, "enclosing")
     bare = extract_enclosing(random_kg(rng, 6, 3, 12), 0, 1, 0, K)
     with pytest.raises(ValueError, match="at least one"):
-        batch_subgraphs([])
+        join([])
     with pytest.raises(ValueError, match="unlabeled"):
-        score_triplet(batch_subgraphs([sub, bare]), params, cfg)
+        score_triplet(join([sub, bare]), params, cfg)

@@ -151,6 +151,23 @@ def test_eval_aux_width_mismatch_exit_2(workdir, aux_run, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "x")
 
 
+def test_train_rejects_a_repeated_aux_entity_exit_2(workdir, tmp_path, capsys):
+    source = load_triples_file(workdir["src"])
+    name = source.entity_names[1]
+    aux = str(tmp_path / "aux.tsv")
+    open(aux, "w").write("".join(f"{n}\t{i}.0,1.0\n" for i, n in enumerate(source.entity_names))
+                         + f"{name}\t9.0,9.0\n")
+    capsys.readouterr()
+    code = main(["train", "--train", os.path.join(workdir["bench"], "train.txt"),
+                 "--valid", os.path.join(workdir["bench"], "valid.txt"),
+                 "--config", workdir["cfg"], "--out", str(tmp_path / "x.ck"),
+                 "--aux-features", aux])
+    assert code == 2
+    last = len(source.entity_names) + 1
+    assert f"entity {name!r} has features on lines 2 and {last}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x.ck")
+
+
 def test_train_resume_cli_bit_exact(workdir, tmp_path):
     bench = workdir["bench"]
     cfg4 = str(tmp_path / "four.cfg")

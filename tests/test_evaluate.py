@@ -166,6 +166,18 @@ def test_a_leak_in_a_later_union_member_is_named():
         assert scorer(g, candidates, held) == scorer(g, candidates, set())
 
 
+def test_a_held_out_triple_outside_the_graph_is_named():
+    # as id keys, (a, r3, c) would collide with (b, r1, c), an edge of the graph;
+    # and an entity id of 5 or -1 would be silently ignored
+    scorer = scorer_fixture(["r0", "r1"])
+    g = load_triples("a\tr0\tb\nb\tr1\tc\nc\tr0\ta\na\tr1\tc\n")
+    for bad in ((0, 3, 2), (5, 0, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 3)):
+        with pytest.raises(ValueError, match=rf"held-out triple \({bad[0]}, {bad[1]}, {bad[2]}\) "
+                                             r"is outside the graph's 3 entities and 2 relations"):
+            scorer(g, [(0, 0, 1)], {bad})
+    assert np.isfinite(scorer(g, [(0, 0, 1)], {(0, 0, 1)})[0])
+
+
 def test_a_bad_id_in_a_later_member_fails_the_scorer_as_it_fails_alone():
     scorer = scorer_fixture(["p", "q"])
     g = load_triples("a\tp\tb\nb\tp\tc\na\tq\tc\n")

@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from grail.autodiff import grad_check
 from grail.kg import load_triples
 from grail.model import (
     GnnConfig,
-    batch_subgraphs,
     init_params,
     layer_forward,
     params_from_named,
     sample_edge_masks,
     score_triplet,
 )
-from grail.subgraph import extract_enclosing, feature_dim, label_nodes
+from grail.subgraph import extract_enclosing, feature_dim, join, label_nodes
 
 from oracles import attention_weight, dense_gnn_reference, random_kg
 
@@ -178,6 +179,41 @@ def test_dropout_masks():
         assert np.all(m == 1.0)
 
 
+def test_split_uniform_draws_equal_one_draw():
+    # a union's masks come from one draw where each member used to draw per
+    # layer; they agree because consecutive draws continue one stream
+    for a, b in ((0, 5), (3, 4), (17, 1), (100, 31)):
+        stream = np.random.default_rng(9)
+        split = np.concatenate([stream.random(a), stream.random(b)])
+        assert np.array_equal(split, np.random.default_rng(9).random(a + b))
+
+
+def test_union_masks_are_each_members_layer_draws_in_turn():
+    rng = np.random.default_rng(14)
+    cfg = small_cfg(num_layers=3, edge_dropout_rate=0.4)
+    for _ in range(20):
+        parts = [random_labeled(rng) for _ in range(int(rng.integers(1, 9)))]
+        union = join(parts)
+        seed = int(rng.integers(1 << 30))
+        got = sample_edge_masks(union, cfg, np.random.default_rng(seed))
+        # member after member, and within a member layer after layer
+        stream = np.random.default_rng(seed)
+        per_part = []
+        for part in parts:
+            masks = [(stream.random(len(part.edges)) >= 0.4).astype(float) for _ in range(3)]
+            for m in masks:
+                m[part.target_edge_pos] = 1.0
+            per_part.append(masks)
+        assert len(got) == cfg.num_layers
+        for layer, mask in enumerate(got):
+            assert np.array_equal(mask, np.concatenate([m[layer] for m in per_part]))
+            assert np.all(mask[union.target_edge_pos] == 1.0)
+    # rate 0 keeps every edge and draws nothing
+    state = rng.bit_generator.state
+    assert all(np.all(m == 1.0) for m in sample_edge_masks(union, small_cfg(), rng))
+    assert rng.bit_generator.state == state
+
+
 def test_dropout_keep_rate_statistics():
     rng = np.random.default_rng(8)
     sub = random_labeled(rng)
@@ -195,21 +231,18 @@ def test_dropped_edge_changes_nothing_downstream():
     sub = random_labeled(rng)
     cfg = small_cfg(num_layers=1)
     p = init_params(cfg, 3, rng)
-    e = 0 if sub.target_edge_pos != 0 else 1
-    if len(sub.edges) <= max(e, sub.target_edge_pos):
+    pos = int(sub.target_edge_pos[0])
+    e = 0 if pos != 0 else 1
+    if len(sub.edges) <= max(e, pos):
         pytest.skip("degenerate draw")
     mask = np.ones(len(sub.edges))
     mask[e] = 0.0
     got = score_triplet(sub, p, cfg, dropout_masks=[mask]).item()
-    pruned = type(sub)(
-        nodes=sub.nodes,
+    pruned = replace(
+        sub,
         edges=np.delete(sub.edges, e, axis=0),
-        target=sub.target,
-        target_edge_pos=sub.target_edge_pos - (1 if e < sub.target_edge_pos else 0),
-        k=sub.k,
-        dist_u=sub.dist_u,
-        dist_v=sub.dist_v,
-        features=sub.features,
+        edge_target_rels=np.delete(sub.edge_target_rels, e),
+        target_edge_pos=sub.target_edge_pos - (1 if e < pos else 0),
     )
     want = score_triplet(pruned, p, cfg).item()
     assert got == pytest.approx(want, abs=1e-12)
@@ -223,7 +256,7 @@ def test_layer_forward_mask_shape_error():
     import grail.autodiff as ad
 
     with pytest.raises(ValueError, match="dropout mask shape"):
-        layer_forward(batch_subgraphs([sub]), ad.constant(sub.features), 0, p, cfg,
+        layer_forward(sub, ad.constant(sub.features), 0, p, cfg,
                       dropout_mask=np.ones(len(sub.edges) + 1))
 
 
@@ -232,9 +265,7 @@ def test_score_triplet_errors():
     cfg = small_cfg()
     p = init_params(cfg, 3, rng)
     sub = random_labeled(rng)
-    bare = type(sub)(nodes=sub.nodes, edges=sub.edges, target=sub.target,
-                     target_edge_pos=sub.target_edge_pos, k=sub.k,
-                     dist_u=sub.dist_u, dist_v=sub.dist_v)
+    bare = replace(sub, features=None)
     with pytest.raises(ValueError, match="unlabeled"):
         score_triplet(bare, p, cfg)
     with pytest.raises(ValueError, match="dropout masks"):

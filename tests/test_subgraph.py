@@ -1,6 +1,7 @@
 """Enclosing-subgraph extraction and double-radius labeling."""
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from grail.subgraph import (
     extract_enclosing,
     extract_union,
     feature_dim,
+    join,
     label_nodes,
     parse_aux_features,
-    union_members,
+    take_members,
 )
 
 from oracles import (
@@ -30,6 +32,11 @@ CHAIN = "u\tr\tm1\nm1\tr\tm2\nm2\tr\tv\nu\ts\tv\nx\tr\tu\nv\tr\ty\n"
 
 def chain_graph():
     return load_triples(CHAIN)
+
+
+def target(sub) -> tuple[int, int, int]:
+    """The candidate edge of a one-member union, over its node rows."""
+    return int(sub.u_rows[0]), int(sub.target_rels[0]), int(sub.v_rows[0])
 
 
 def test_extraction_matches_walk_oracle():
@@ -71,8 +78,8 @@ def test_canonical_node_order():
     u, v = g.entity_ids["u"], g.entity_ids["v"]
     sub = extract_enclosing(g, u, v, g.relation_ids["s"], 2)
     assert sub.nodes[0] == u and sub.nodes[1] == v
-    assert sub.nodes[2:] == sorted(sub.nodes[2:])
-    assert sub.target == (0, g.relation_ids["s"], 1)
+    assert sub.nodes[2:].tolist() == sorted(sub.nodes[2:].tolist())
+    assert target(sub) == (0, g.relation_ids["s"], 1)
 
 
 def test_induced_edges_complete():
@@ -83,9 +90,9 @@ def test_induced_edges_complete():
         r_t = int(rng.integers(num_relations))
         for mode in ("full_khop", "enclosing"):
             sub = extract_enclosing(g, u, v, r_t, 2, mode=mode)
-            want = induced_edges_oracle(g, sub.nodes)
-            if sub.target not in want:  # the candidate edge is appended last
-                want.append(sub.target)
+            want = induced_edges_oracle(g, sub.nodes.tolist())
+            if target(sub) not in want:  # the candidate edge is appended last
+                want.append(target(sub))
             assert sub.edges.dtype == np.intp and sub.edges.shape == (len(want), 3)
             assert [tuple(e) for e in sub.edges.tolist()] == want
 
@@ -97,14 +104,14 @@ def test_target_edge_present_exactly_once():
     # (u, s, v) is a real edge: no duplicate appended
     sub = extract_enclosing(g, u, v, s, 2)
     rows = [tuple(e) for e in sub.edges.tolist()]
-    assert rows.count(sub.target) == 1
-    assert rows[sub.target_edge_pos] == sub.target
+    assert rows.count(target(sub)) == 1
+    assert rows[sub.target_edge_pos[0]] == target(sub)
     # remove it from the graph: extraction appends it at the end
     g2 = without_triples(g, [(u, s, v)])
     sub2 = extract_enclosing(g2, u, v, s, 2)
     rows2 = [tuple(e) for e in sub2.edges.tolist()]
-    assert rows2.count(sub2.target) == 1
-    assert sub2.target_edge_pos == len(rows2) - 1
+    assert rows2.count(target(sub2)) == 1
+    assert sub2.target_edge_pos.tolist() == [len(rows2) - 1]
 
 
 def test_extraction_validates():
@@ -144,11 +151,11 @@ def test_one_pruning_pass_reaches_the_fixed_point():
         for k in (1, 2, 3):
             for mode in EXTRACTION_MODES:
                 sub = extract_enclosing(g, u, v, 0, k, mode=mode)
-                du, dv = double_radius_oracle(g, sub.nodes, k, u, v)
-                assert (sub.dist_u, sub.dist_v) == (du, dv)
-                want = induced_edges_oracle(g, sub.nodes)
-                if sub.target not in want:
-                    want.append(sub.target)
+                du, dv = double_radius_oracle(g, sub.nodes.tolist(), k, u, v)
+                assert (sub.dist_u.tolist(), sub.dist_v.tolist()) == (du, dv)
+                want = induced_edges_oracle(g, sub.nodes.tolist())
+                if target(sub) not in want:
+                    want.append(target(sub))
                 assert [tuple(e) for e in sub.edges.tolist()] == want
                 if mode == "enclosing":
                     assert all(a + b <= k + 1 for a, b in zip(du[2:], dv[2:]))
@@ -178,8 +185,8 @@ def _digest_graphs(num_graphs: int):
 
 
 def _hash_member(digest, sub, features) -> None:
-    ints = sub.nodes + sub.dist_u + sub.dist_v + [sub.target_edge_pos]
-    digest.update(np.array(ints, np.int64).tobytes())
+    ints = np.concatenate([sub.nodes, sub.dist_u, sub.dist_v, sub.target_edge_pos])
+    digest.update(ints.astype(np.int64).tobytes())
     digest.update(sub.edges.astype(np.int64).tobytes())
     for feats in features:
         digest.update(feats.tobytes())
@@ -207,7 +214,7 @@ def _union_digest(num_graphs: int) -> str:
     Per graph and mode, the four candidates are shuffled among 0-8 seeded
     filler candidates (extracted, never hashed) and extracted in seeded
     unions of 1-8 members.  Each union is labeled as a whole under both
-    schemes, and each candidate's member is hashed as union_members gives it.
+    schemes, and each candidate's member is hashed as take_members gives it.
     """
     rng = np.random.default_rng(14)
     digest = hashlib.sha256()
@@ -223,9 +230,10 @@ def _union_digest(num_graphs: int) -> str:
                 size = int(rng.integers(1, 9))
                 chunk, order = order[:size], order[size:]
                 union = extract_union(g, [queue[i] for i in chunk], k, mode)
-                labeled = [union_members(label_nodes(union, s)) for s in LABEL_SCHEMES]
+                labeled = [label_nodes(union, s) for s in LABEL_SCHEMES]
                 for j, i in enumerate(chunk):
-                    members[i, mode] = (labeled[0][j], [subs[j].features for subs in labeled])
+                    alone = [take_members(lab, [j]) for lab in labeled]
+                    members[i, mode] = (alone[0], [sub.features for sub in alone])
         for i in range(len(candidates)):
             for mode in EXTRACTION_MODES:
                 _hash_member(digest, *members[i, mode])
@@ -241,6 +249,40 @@ def test_unions_reproduce_the_golden_hash():
     # the same 2,000 extractions made inside unions of 1-8 members: a row or
     # edge offset that slips across members moves some member's hash
     assert _union_digest(250) == GOLDEN_EXTRACTION_SHA256
+
+
+def _assert_same_union(a, b) -> None:
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def test_take_members_gathers_what_join_concatenates():
+    # over random unions of 1-8 members in both modes, labeled or not
+    rng = np.random.default_rng(15)
+    for trial in range(120):
+        g = random_kg(rng, int(rng.integers(3, 16)), int(rng.integers(1, 4)),
+                      int(rng.integers(2, 40)), allow_self_loops=True)
+        mode = EXTRACTION_MODES[trial % 2]
+        parts = []
+        for _ in range(int(rng.integers(1, 9))):
+            u, v = (int(x) for x in rng.choice(g.num_entities, size=2, replace=False))
+            parts.append(extract_enclosing(g, u, v, int(rng.integers(g.num_relations)), 2, mode))
+        if trial % 3:
+            parts = [label_nodes(p, LABEL_SCHEMES[trial % 2]) for p in parts]
+        perm = rng.permutation(len(parts))
+        _assert_same_union(take_members(join(parts), perm), join([parts[i] for i in perm]))
+        rows = rng.integers(len(parts), size=int(rng.integers(1, 12)))  # repeats and omissions
+        _assert_same_union(take_members(join(parts), rows), join([parts[i] for i in rows]))
+        # a union of the reordered candidates is the reordered union
+        candidates = [(int(p.nodes[0]), int(p.target_rels[0]), int(p.nodes[1])) for p in parts]
+        _assert_same_union(take_members(extract_union(g, candidates, 2, mode), perm),
+                           extract_union(g, [candidates[i] for i in perm], 2, mode))
+    with pytest.raises(ValueError, match="at least one union"):
+        join([])
 
 
 def test_a_bad_later_member_fails_the_union_as_it_fails_alone():
@@ -263,10 +305,11 @@ def test_double_radius_labels():
     g = chain_graph()
     u, v = g.entity_ids["u"], g.entity_ids["v"]
     sub = label_nodes(extract_enclosing(g, u, v, g.relation_ids["s"], 2))
-    lu, lv = sub.nodes.index(u), sub.nodes.index(v)
+    nodes = sub.nodes.tolist()
+    lu, lv = nodes.index(u), nodes.index(v)
     assert (sub.dist_u[lu], sub.dist_v[lu]) == (0, 1)
     assert (sub.dist_u[lv], sub.dist_v[lv]) == (1, 0)
-    m1, m2 = sub.nodes.index(g.entity_ids["m1"]), sub.nodes.index(g.entity_ids["m2"])
+    m1, m2 = nodes.index(g.entity_ids["m1"]), nodes.index(g.entity_ids["m2"])
     # distances computed with the opposite target removed
     assert (sub.dist_u[m1], sub.dist_v[m1]) == (1, 2)
     assert (sub.dist_u[m2], sub.dist_v[m2]) == (2, 1)
@@ -282,8 +325,8 @@ def test_labels_match_double_radius_oracle():
         for k in (1, 2, 3):
             for mode in EXTRACTION_MODES:
                 sub = extract_enclosing(g, u, v, 0, k, mode=mode)
-                du, dv = double_radius_oracle(g, sub.nodes, k, u, v)
-                assert (sub.dist_u, sub.dist_v) == (du, dv)
+                du, dv = double_radius_oracle(g, sub.nodes.tolist(), k, u, v)
+                assert (sub.dist_u.tolist(), sub.dist_v.tolist()) == (du, dv)
                 feats = label_nodes(sub).features
                 assert np.argmax(feats[:, : k + 2], axis=1).tolist() == du
                 assert np.argmax(feats[:, k + 2 :], axis=1).tolist() == dv
@@ -318,7 +361,7 @@ def test_constant_labels():
     want = np.zeros((sub.num_nodes, feature_dim(2)))
     want[:, [1, 5]] = 1.0  # a 1 in each half of width k + 2 = 4
     assert np.array_equal(lab.features, want)
-    assert (lab.dist_u, lab.dist_v) == (sub.dist_u, sub.dist_v)
+    assert np.array_equal(lab.dist_u, sub.dist_u) and np.array_equal(lab.dist_v, sub.dist_v)
 
 
 def test_unknown_scheme_rejected():
@@ -384,3 +427,9 @@ def test_parse_aux_features():
         parse_aux_features("a\t1.0,2.0\nb\t1.0\n")
     with pytest.raises(ValueError, match="no feature lines"):
         parse_aux_features("\n")
+
+
+def test_parse_aux_features_rejects_a_repeated_entity():
+    # a second line for an entity would silently replace its first vector
+    with pytest.raises(ValueError, match="entity 'a' has features on lines 1 and 3"):
+        parse_aux_features("a\t1,2\nb\t3,4\na\t5,6\n")
