@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,13 +300,13 @@ def write_report(report: EvalReport, path: str) -> None:
 
 
 def write_triplet_csv(report: EvalReport, path: str) -> None:
+    """One CSV row per scored triple; a name holding a comma or a quote is quoted."""
     with atomic_open(path) as f:
-        f.write("head,rel,tail,label,score,rank\n")
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(["head", "rel", "tail", "label", "score", "rank"])
         for rec in report.records:
-            rank = "" if rec["rank"] is None else str(rec["rank"])
-            f.write(
-                f"{rec['head']},{rec['rel']},{rec['tail']},{rec['label']},{rec['score']!r},{rank}\n"
-            )
+            rank = "" if rec["rank"] is None else rec["rank"]
+            out.writerow([rec["head"], rec["rel"], rec["tail"], rec["label"], repr(rec["score"]), rank])
 
 
 def write_scores_file(report: EvalReport, path: str) -> None:

@@ -22,6 +22,7 @@ from .model import (
 from .subgraph import (
     EXTRACTION_MODES,
     LABEL_SCHEMES,
+    SubgraphBatch,
     extract_enclosing,
     extract_union,
     feature_dim,
@@ -56,6 +57,10 @@ _S_SHUFFLE = 2
 _S_NEG = 3
 _S_DROPOUT = 4
 _S_VALID = 5
+
+# a group of minibatches closes once it holds this many negatives; each
+# group's negatives are extracted as one union, so this bounds its size
+_GROUP_NEGATIVES = 128
 
 # marks a TrainConfig field that shapes the subgraphs the model reads, so a
 # resumed run must keep the checkpoint's value
@@ -100,9 +105,40 @@ def hinge_loss(pos_score: Tensor, neg_score: Tensor, margin: float) -> Tensor:
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count.
+
+    m and v name one array per parameter.  adam_step lays both out as flat
+    buffers, flat_m and flat_v, in the order of its params dict, and from
+    then on m[name] and v[name] are views into them; a state built from
+    named arrays (a restored checkpoint) is flattened on its first step.
+    """
+
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
+    flat_m: np.ndarray | None = field(default=None, repr=False)
+    flat_v: np.ndarray | None = field(default=None, repr=False)
+
+
+def _flat_moments(moments: dict[str, np.ndarray], params: dict[str, Tensor], size: int) -> np.ndarray:
+    """moments laid out as one buffer in the order of params (zeros for a
+    parameter without moments yet); moments is refilled with views into it."""
+    flat = np.zeros(size)
+    views = {}
+    lo = 0
+    for name, p in params.items():
+        views[name] = view = flat[lo : lo + p.data.size].reshape(p.data.shape)
+        if name in moments:
+            if moments[name].shape != p.data.shape:
+                raise ValueError(
+                    f"Adam moments of {name!r} have shape {moments[name].shape}, "
+                    f"but the parameter has shape {p.data.shape}"
+                )
+            view[...] = moments[name]
+        lo += p.data.size
+    moments.clear()
+    moments.update(views)
+    return flat
 
 
 def adam_step(
@@ -117,23 +153,33 @@ def adam_step(
     """One Adam update from the tensors' accumulated .grad buffers.
 
     Classical L2 regularization: l2 * theta is added to the gradient before
-    the moment updates, so it flows through both moving averages.
+    the moment updates, so it flows through both moving averages.  All
+    parameters are updated as one flat vector, elementwise exactly as one
+    tensor at a time; a non-finite gradient raises before anything changes.
     """
+    tensors = list(params.values())
+    g = np.concatenate([p.grad.ravel() for p in tensors])
+    g += l2 * np.concatenate([p.data.ravel() for p in tensors])
+    if not np.isfinite(g).all():
+        ends = np.cumsum([p.data.size for p in tensors])
+        first = int(np.flatnonzero(~np.isfinite(g))[0])
+        name = list(params)[int(np.searchsorted(ends, first, side="right"))]
+        raise ValueError(f"non-finite gradient for parameter {name!r}")
+    if state.flat_m is None or state.flat_m.shape != g.shape:
+        state.flat_m = _flat_moments(state.m, params, g.size)
+        state.flat_v = _flat_moments(state.v, params, g.size)
     state.t += 1
     t = state.t
-    for name in params:
-        p = params[name]
-        g = p.grad + l2 * p.data
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**t)
-        v_hat = state.v[name] / (1.0 - beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v = state.flat_m, state.flat_v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    step = lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    lo = 0
+    for p in tensors:
+        p.data -= step[lo : lo + p.data.size].reshape(p.data.shape)
+        lo += p.data.size
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -362,6 +408,45 @@ def _adam_state_from_tensors(tensors: dict[str, np.ndarray]) -> AdamState:
     return state
 
 
+def _minibatches(
+    g_train: KnowledgeGraph,
+    positives: list[tuple[int, int, int]],
+    pos_union: SubgraphBatch,
+    order: np.ndarray,
+    tcfg: TrainConfig,
+    rng_neg: np.random.Generator,
+    aux_ids: dict[int, np.ndarray] | None,
+):
+    """One epoch's minibatches as (positive indices, labeled union).
+
+    Minibatch i is order[i * batch_size : (i + 1) * batch_size], sorted; its
+    union holds each positive, then its neg_per_pos negatives drawn from
+    rng_neg.  Whole minibatches are grouped in order until a group holds at
+    least _GROUP_NEGATIVES negatives, and each group's negatives are drawn,
+    extracted and labeled as one union, so the cost fixed per extraction is
+    paid once per group while its memory stays bounded.  Each minibatch is
+    then one gather from its group: the same members, in the same order,
+    as one extraction per minibatch would give.
+    """
+    size, n = tcfg.batch_size, tcfg.neg_per_pos
+    batches = [np.sort(order[lo : lo + size]) for lo in range(0, len(order), size)]
+    per_group = -(-_GROUP_NEGATIVES // (size * n))
+    for at in range(0, len(batches), per_group):
+        group = batches[at : at + per_group]
+        group_pos = np.concatenate(group)
+        negs = [sample_negative(g_train, positives[idx], rng_neg)
+                for idx in group_pos.tolist() for _ in range(n)]
+        neg_union = extract_union(g_train, negs, tcfg.hops, tcfg.extraction_mode)
+        union = join([take_members(pos_union, group_pos),
+                      label_nodes(neg_union, tcfg.labeling, aux_ids)])
+        lo = 0
+        for batch in group:
+            pos_rows = lo + np.arange(len(batch))
+            neg_rows = len(group_pos) + n * pos_rows[:, None] + np.arange(n)
+            yield batch, take_members(union, np.column_stack([pos_rows, neg_rows]).ravel())
+            lo += len(batch)
+
+
 def train(
     g_train: KnowledgeGraph,
     valid_triples: list[tuple[int, int, int]],
@@ -373,11 +458,16 @@ def train(
 ) -> tuple[Checkpoint, Checkpoint, list[dict]]:
     """Train on every non-self-loop triple of g_train with sampled negatives.
 
-    Per positive, a corrupted negative is drawn and both candidate edges are
-    scored on their extracted subgraphs with per-layer edge dropout.  Each
-    minibatch is scored as one disjoint union of those subgraphs, in
-    ascending positive index order, and its loss is the sum of the
-    `hinge_loss` terms.  Every eval_every epochs (and on the final
+    Per positive, neg_per_pos corrupted negatives are drawn and every
+    candidate edge is scored on its extracted subgraph with per-layer edge
+    dropout.  Each minibatch is scored as one disjoint union of those
+    subgraphs, each positive (in ascending index order) then its negatives,
+    and its loss is the sum of the `hinge_loss` terms.  The positives'
+    subgraphs are extracted once, before the first epoch; the negatives'
+    are extracted once per group of minibatches holding at least
+    _GROUP_NEGATIVES of them, and each minibatch gathers its members from
+    its group (see _minibatches).  Adam updates all parameters as one flat
+    vector.  Every eval_every epochs (and on the final
     epoch) validation AUC-PR is computed against fixed, seed-derived
     corruptions of valid_triples, and the best-scoring parameters are kept.
 
@@ -463,28 +553,19 @@ def train(
     snapshot.update((f"relation.{i}", name) for i, name in enumerate(g_train.relation_names))
     if start is not None and not np.isnan(start.val_metric):
         best = start
+    n = tcfg.neg_per_pos
     for epoch in range(first_epoch, tcfg.epochs + 1):
         rng_shuffle = np.random.default_rng([seed, _S_SHUFFLE, epoch])
         rng_neg = np.random.default_rng([seed, _S_NEG, epoch])
         rng_drop = np.random.default_rng([seed, _S_DROPOUT, epoch])
         order = rng_shuffle.permutation(len(positives))
         total_loss = 0.0
-        for lo in range(0, len(order), tcfg.batch_size):
-            batch = np.sort(order[lo : lo + tcfg.batch_size])
+        for _, union in _minibatches(g_train, positives, pos_union, order, tcfg, rng_neg, aux_ids):
             for p in named_params.values():
                 p.zero_grad()
-            n = tcfg.neg_per_pos
-            negs = [sample_negative(g_train, positives[idx], rng_neg)
-                    for idx in batch.tolist() for _ in range(n)]
-            # one union per minibatch, each positive then its negatives: gathered
-            # from the batch's positives joined with the negatives after them
-            neg_members = len(batch) + np.arange(len(negs)).reshape(-1, n)
-            members = np.column_stack([np.arange(len(batch)), neg_members]).ravel()
-            parts = [take_members(pos_union, batch), labeled_union(negs)]
-            union = take_members(join(parts), members)
             masks = sample_edge_masks(union, gcfg, rng_drop)
             scores = score_triplet(union, params, gcfg, dropout_masks=masks)
-            rows = np.arange(len(members)).reshape(-1, n + 1)  # a positive, then its negatives
+            rows = np.arange(len(union.member_sizes)).reshape(-1, n + 1)  # a positive, then its negatives
             pos_scores = ad.slice_rows(scores, np.repeat(rows[:, 0], n))
             neg_scores = ad.slice_rows(scores, rows[:, 1:].ravel())
             loss = ad.sum_all(hinge_loss(pos_scores, neg_scores, tcfg.margin))

@@ -1,10 +1,15 @@
 """Independent reference implementations the test suite checks the library
 against.  Everything here is deliberately naive: exhaustive enumeration and
-dense loops, no shared code with the package internals."""
+dense loops, no shared code with the package internals.  The exception is
+minibatches_reference, which builds minibatches the simple way from the
+public extraction and sampling functions, so that training's grouped
+construction can be compared with it."""
 
 import numpy as np
 
+from grail.evaluate import sample_negative
 from grail.kg import KnowledgeGraph, from_parts
+from grail.subgraph import extract_union, join, label_nodes, take_members
 
 
 def random_kg(
@@ -232,3 +237,39 @@ def adam_reference(grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8, theta0=0.0,
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
         out.append(theta)
     return out
+
+
+def minibatches_reference(g, positives, pos_union, order, tcfg, rng_neg, aux_ids):
+    """One epoch's (positive indices, labeled union) per minibatch, built one
+    minibatch at a time: its negatives drawn and extracted as one union, joined
+    after its positives, then gathered as each positive followed by its
+    negatives."""
+    n = tcfg.neg_per_pos
+    for lo in range(0, len(order), tcfg.batch_size):
+        batch = np.sort(order[lo : lo + tcfg.batch_size])
+        negs = [sample_negative(g, positives[idx], rng_neg)
+                for idx in batch.tolist() for _ in range(n)]
+        neg_union = label_nodes(extract_union(g, negs, tcfg.hops, tcfg.extraction_mode),
+                                tcfg.labeling, aux_ids)
+        members = []
+        for i in range(len(batch)):
+            members.append(i)
+            members.extend(len(batch) + i * n + j for j in range(n))
+        yield batch, take_members(join([take_members(pos_union, batch), neg_union]), members)
+
+
+def adam_step_reference(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, l2=0.0):
+    """Adam over named tensors one at a time; state holds dicts m and v and step t."""
+    state["t"] += 1
+    t = state["t"]
+    for name, p in params.items():
+        g = p.grad + l2 * p.data
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"non-finite gradient for parameter {name!r}")
+        m = state["m"].get(name, np.zeros_like(p.data))
+        v = state["v"].get(name, np.zeros_like(p.data))
+        state["m"][name] = m = beta1 * m + (1.0 - beta1) * g
+        state["v"][name] = v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -6,6 +6,7 @@ training and evaluation must keep reaching the model through
 runs backward must build no tape.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -16,9 +17,16 @@ from grail.autodiff import grad_check
 from grail.evaluate import GrailScorer, evaluate
 from grail.model import GnnConfig, init_params, sample_edge_masks, score_triplet
 from grail.subgraph import EXTRACTION_MODES, extract_enclosing, feature_dim, join, label_nodes
-from grail.train import TrainConfig, hinge_loss, scorer_from_checkpoint, train
+from grail.train import (
+    _GROUP_NEGATIVES,
+    TrainConfig,
+    _minibatches,
+    hinge_loss,
+    scorer_from_checkpoint,
+    train,
+)
 
-from oracles import random_kg, zero_grads
+from oracles import minibatches_reference, random_kg, zero_grads
 
 K = 2
 
@@ -107,18 +115,25 @@ def test_train_and_evaluate_score_through_the_traced_entry_points(monkeypatch):
     # `extract_enclosing` where grail.train binds it; per-layer metrics divide
     # by these call counts and take subgraph size percentiles from what
     # `extract_enclosing` returns, so training must extract each positive
-    # through it once.
+    # through it once.  Negatives are extracted with one `extract_union` call
+    # per group of minibatches, never one per minibatch.
     g, valid, test, tcfg, cfg = _toy_run()
     model_mod, train_mod = sys.modules["grail.model"], sys.modules["grail.train"]
     layer_forward, score = model_mod.layer_forward, model_mod.score_triplet
-    extract = train_mod.extract_enclosing
+    extract, extract_union = train_mod.extract_enclosing, train_mod.extract_union
     layers = [0]
     calls = []
     sizes = []
+    union_members = []
 
     def counted_extract(*args, **kwargs):
         out = extract(*args, **kwargs)
         sizes.append((len(out.nodes), len(out.edges)))
+        return out
+
+    def counted_union(*args, **kwargs):
+        out = extract_union(*args, **kwargs)
+        union_members.append(len(out.member_sizes))
         return out
 
     def counted_layer(*args, **kwargs):
@@ -135,6 +150,7 @@ def test_train_and_evaluate_score_through_the_traced_entry_points(monkeypatch):
     for name in ("grail.train", "grail.evaluate"):
         monkeypatch.setattr(sys.modules[name], "score_triplet", counted_score)
     monkeypatch.setattr(train_mod, "extract_enclosing", counted_extract)
+    monkeypatch.setattr(train_mod, "extract_union", counted_union)
 
     best, _, _ = train(g, valid, tcfg, cfg)
     positives = [t for t in g.triples if t[0] != t[2]]
@@ -147,6 +163,13 @@ def test_train_and_evaluate_score_through_the_traced_entry_points(monkeypatch):
     per_epoch += [(cfg.num_layers, len(valid), False)] * 2
     assert len(per_epoch) == batches + 2
     assert calls == per_epoch * tcfg.epochs
+    # both validation sets once per training, then one call per group per epoch
+    negatives = len(positives) * tcfg.neg_per_pos
+    group = -(-_GROUP_NEGATIVES // (tcfg.batch_size * tcfg.neg_per_pos)) * tcfg.batch_size
+    per_group = [min(group, len(positives) - lo) * tcfg.neg_per_pos
+                 for lo in range(0, len(positives), group)]
+    assert union_members == [len(valid)] * 2 + per_group * tcfg.epochs
+    assert sum(per_group) == negatives and len(per_group) < batches
 
     calls.clear()
     evaluate(scorer_from_checkpoint(best), g, test, num_negatives=4, seed=0)
@@ -154,6 +177,38 @@ def test_train_and_evaluate_score_through_the_traced_entry_points(monkeypatch):
     assert calls == [(cfg.num_layers, 2 + 4, False)] * len(test)
     # the tracer patches this name on the class; without it, it would wrap type.__call__
     assert "__call__" in vars(GrailScorer)
+
+
+@pytest.mark.parametrize("mode", EXTRACTION_MODES)
+@pytest.mark.parametrize("neg_per_pos,batch_size", [(1, 16), (2, 12)])
+def test_grouped_minibatches_equal_one_extraction_per_minibatch(mode, neg_per_pos, batch_size):
+    rng = np.random.default_rng(26)
+    g = random_kg(rng, 40, 3, 200)
+    positives = [t for t in g.triples if t[0] != t[2]]
+    tcfg = TrainConfig(batch_size=batch_size, neg_per_pos=neg_per_pos, hops=K,
+                       extraction_mode=mode)
+    aux_ids = {i: rng.standard_normal(2) for i in range(g.num_entities)} if neg_per_pos == 2 else None
+    pos_union = label_nodes(join([extract_enclosing(g, h, t, r, K, mode) for h, r, t in positives]),
+                            tcfg.labeling, aux_ids)
+    order = np.random.default_rng(1).permutation(len(positives))
+    # several groups, the last one short, and a short last minibatch
+    batches = -(-len(positives) // batch_size)
+    per_group = -(-_GROUP_NEGATIVES // (batch_size * neg_per_pos))
+    assert batches > per_group and batches % per_group and len(positives) % batch_size
+
+    got = list(_minibatches(g, positives, pos_union, order, tcfg, np.random.default_rng(2), aux_ids))
+    want = list(minibatches_reference(g, positives, pos_union, order, tcfg,
+                                      np.random.default_rng(2), aux_ids))
+    assert len(got) == len(want) == batches
+    for (batch, union), (ref_batch, ref_union) in zip(got, want):
+        assert np.array_equal(batch, ref_batch)
+        for f in dataclasses.fields(union):
+            a, b = getattr(union, f.name), getattr(ref_union, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
 
 
 def test_scorer_score_is_bit_identical_to_the_taped_score_and_has_no_parents(monkeypatch):

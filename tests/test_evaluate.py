@@ -1,5 +1,6 @@
 """AUC-PR, ranking, inductive evaluation, score files, and late fusion."""
 
+import csv
 import sys
 
 import numpy as np
@@ -335,6 +336,25 @@ def test_report_files_roundtrip(tmp_path):
     write_labels_file(report, lp)
     labels = parse_labels_file(open(lp).read())
     assert labels == {("a", "r", "b"): 1, ("a", "r", "c"): 0}
+
+
+def test_triplet_csv_quotes_names_with_commas_and_quotes(tmp_path):
+    records = [
+        {"head": "Paris, France", "rel": 'capital "of"', "tail": "France", "label": 1,
+         "score": 2.25, "rank": 3},
+        {"head": "a", "rel": "r", "tail": "b", "label": 0, "score": -0.5, "rank": None},
+    ]
+    report = EvalReport(auc_pr=1.0, hits_at_10=1.0, num_test=1, num_negatives=1, seed=0,
+                        records=records)
+    cp = str(tmp_path / "ranks.csv")
+    write_triplet_csv(report, cp)
+    with open(cp, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows == [
+        ["head", "rel", "tail", "label", "score", "rank"],
+        ["Paris, France", 'capital "of"', "France", "1", "2.25", "3"],
+        ["a", "r", "b", "0", "-0.5", ""],
+    ]
 
 
 def test_score_file_first_entry_wins():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from grail.train import (
     AdamState,
     Checkpoint,
     TrainConfig,
+    _adam_state_from_tensors,
+    _checkpoint_tensors,
     adam_step,
     clip_gradients,
     config_from_text,
@@ -30,7 +33,7 @@ from grail.train import (
     write_loss_log,
 )
 
-from oracles import adam_reference, random_kg
+from oracles import adam_reference, adam_step_reference, random_kg
 
 
 def toy_setup(num_entities=12, num_edges=50, seed=0, **tkw):
@@ -100,6 +103,57 @@ def test_adam_rejects_nonfinite_grad():
     p.grad[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite gradient"):
         adam_step({"p": p}, AdamState(), lr=0.1)
+
+
+def test_flat_adam_equals_the_per_parameter_update_bit_for_bit():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 3), "b": (3,), "s": (1,), "col": (2, 1)}
+    init = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    flat = {name: parameter(arr.copy()) for name, arr in init.items()}
+    ref = {name: parameter(arr.copy()) for name, arr in init.items()}
+    state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+    for step in range(10):
+        for name in shapes:
+            g = rng.standard_normal(shapes[name])
+            flat[name].zero_grad()
+            flat[name].grad[...] = g
+            ref[name].zero_grad()
+            ref[name].grad[...] = g
+        adam_step(flat, state, lr=0.05, l2=0.01)
+        adam_step_reference(ref, ref_state, lr=0.05, l2=0.01)
+        assert state.t == ref_state["t"]
+        for name in shapes:
+            assert flat[name].data.tobytes() == ref[name].data.tobytes(), (step, name)
+            assert state.m[name].tobytes() == ref_state["m"][name].tobytes(), (step, name)
+            assert state.v[name].tobytes() == ref_state["v"][name].tobytes(), (step, name)
+        if step == 4:
+            # through the checkpoint's named arrays, as a resumed run restores it
+            tensors = _checkpoint_tensors(SimpleNamespace(named_tensors=lambda: flat), state)
+            assert {f"adam.m.{name}" for name in shapes} <= set(tensors)
+            assert all(tensors[f"adam.v.{name}"].shape == shape for name, shape in shapes.items())
+            state = _adam_state_from_tensors(tensors)
+            assert state.t == 5
+
+
+def test_adam_names_the_first_parameter_with_a_nonfinite_grad():
+    a, b, c = parameter(np.ones((2, 2))), parameter(np.ones(3)), parameter(np.ones(1))
+    for p in (a, b, c):
+        p.zero_grad()
+    b.grad[1] = np.inf
+    c.grad[0] = np.nan
+    state = AdamState()
+    with pytest.raises(ValueError, match="non-finite gradient for parameter 'b'"):
+        adam_step({"a": a, "b": b, "c": c}, state, lr=0.1)
+    # nothing moved: not the parameter before it, not the step count
+    assert np.array_equal(a.data, np.ones((2, 2))) and state.t == 0
+
+
+def test_adam_rejects_restored_moments_of_another_shape():
+    p = parameter(np.ones((2, 2)))
+    p.zero_grad()
+    state = AdamState(m={"p": np.zeros(4)}, v={"p": np.zeros(4)}, t=3)
+    with pytest.raises(ValueError, match=r"Adam moments of 'p' have shape \(4,\)"):
+        adam_step({"p": p}, state, lr=0.1)
 
 
 def test_clip_gradients():
