@@ -49,7 +49,8 @@ def _capped_neighborhood(
     for _ in range(hops):
         nxt: list[int] = []
         for node in frontier:
-            nbrs = [n for n in g.neighbors[node] if n not in visited]
+            around = g.und_nbrs[g.und_indptr[node] : g.und_indptr[node + 1]].tolist()
+            nbrs = [n for n in around if n not in visited]
             if not nbrs:
                 continue
             if len(nbrs) > cap:

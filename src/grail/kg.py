@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import secrets
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -19,9 +18,9 @@ class KnowledgeGraph:
 
     Entities and relations are interned to dense integer ids in first-appearance
     order; every downstream module works on ids only.  Construction rejects a
-    triple whose ids fall outside the vocabularies.  k-hop sets are memoized
-    per (node, k) on the graph itself (see khop), and the flat out-edge
-    arrays are built on first use (see out_csr), so both are freed with the
+    triple whose ids fall outside the vocabularies and builds the graph's two
+    read-only CSRs (see build_indices).  k-hop sets are memoized per (node, k)
+    on the graph itself (see khop).  The CSRs and the memo are freed with the
     graph and take no part in equality.
     """
 
@@ -31,10 +30,12 @@ class KnowledgeGraph:
     duplicates_dropped: int = 0
     entity_ids: dict[str, int] = field(default_factory=dict)
     relation_ids: dict[str, int] = field(default_factory=dict)
-    out_edges: list[list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
-    neighbors: list[list[int]] = field(init=False, repr=False, compare=False)
+    out_indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    out_rels: np.ndarray = field(init=False, repr=False, compare=False)
+    out_tails: np.ndarray = field(init=False, repr=False, compare=False)
+    und_indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    und_nbrs: np.ndarray = field(init=False, repr=False, compare=False)
     _khop: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _csr: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.entity_ids:
@@ -42,12 +43,16 @@ class KnowledgeGraph:
         if not self.relation_ids:
             self.relation_ids = {n: i for i, n in enumerate(self.relation_names)}
         n, m = self.num_entities, self.num_relations
-        for h, r, t in self.triples:
-            if not (0 <= h < n and 0 <= t < n):
-                raise ValueError(f"triple ({h},{r},{t}) has entity id out of range {n}")
-            if not (0 <= r < m):
-                raise ValueError(f"triple ({h},{r},{t}) has relation id out of range {m}")
-        self.out_edges, self.neighbors = build_indices(n, self.triples)
+        ids = np.fromiter(chain.from_iterable(self.triples), np.intp, 3 * len(self.triples))
+        ids = ids.reshape(-1, 3)
+        bad_entity = ((ids[:, ::2] < 0) | (ids[:, ::2] >= n)).any(axis=1)
+        bad = bad_entity | (ids[:, 1] < 0) | (ids[:, 1] >= m)
+        if bad.any():
+            h, r, t = self.triples[i := int(bad.argmax())]
+            kind, size = ("entity", n) if bad_entity[i] else ("relation", m)
+            raise ValueError(f"triple ({h},{r},{t}) has {kind} id out of range {size}")
+        (self.out_indptr, self.out_rels, self.out_tails,
+         self.und_indptr, self.und_nbrs) = build_indices(n, ids)
 
     @property
     def num_entities(self) -> int:
@@ -57,25 +62,14 @@ class KnowledgeGraph:
     def num_relations(self) -> int:
         return len(self.relation_names)
 
-    def khop(self, node: int, k: int) -> frozenset[int]:
-        """khop_nodes(self, node, k), searched once per (node, k) and then memoized."""
-        found = self._khop.get((node, k))
-        if found is None:
-            found = self._khop[node, k] = frozenset(khop_nodes(self, node, k))
-        return found
-
-    def out_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """out_edges as flat arrays (indptr, relations, tails), built once on first use.
-
-        The out-edges of node are relations[indptr[node]:indptr[node + 1]]
-        and the matching tails, in out_edges order.
-        """
-        if self._csr is None:
-            counts = np.fromiter(map(len, self.out_edges), np.intp, self.num_entities)
-            flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.out_edges)), np.intp)
-            indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-            self._csr = (indptr, flat[0::2].copy(), flat[1::2].copy())
-        return self._csr
+    def khop(self, nodes, k: int) -> list[np.ndarray]:
+        """khop_nodes(self, nodes, k), searching only the nodes whose (node, k)
+        is not memoized yet, in one call, and memoizing what it finds."""
+        memo = self._khop
+        todo = [x for x in dict.fromkeys(nodes) if (x, k) not in memo]
+        if todo:
+            memo.update(zip([(x, k) for x in todo], khop_nodes(self, todo, k)))
+        return [memo[x, k] for x in nodes]
 
     def check_entity(self, node: int) -> None:
         if not (0 <= node < self.num_entities):
@@ -86,19 +80,41 @@ class KnowledgeGraph:
             raise ValueError(f"invalid relation id {rel} (graph has {self.num_relations} relations)")
 
 
-def build_indices(
-    num_entities: int, triples: list[tuple[int, int, int]]
-) -> tuple[list[list[tuple[int, int]]], list[list[int]]]:
-    """Per-entity adjacency: sorted (relation, tail) out-edges and sorted undirected neighbors."""
-    out: list[list[tuple[int, int]]] = [[] for _ in range(num_entities)]
-    und: list[set[int]] = [set() for _ in range(num_entities)]
-    for h, r, t in triples:
-        out[h].append((r, t))
-        und[h].add(t)
-        und[t].add(h)
-    for edges in out:
-        edges.sort()
-    return out, [sorted(n) for n in und]
+def build_indices(num_entities: int, triples: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(out_indptr, out_rels, out_tails, und_indptr, und_nbrs): the two read-only
+    CSRs of (T, 3) id triples.  Node x's out-edges are
+    out_rels[out_indptr[x]:out_indptr[x + 1]] and the matching out_tails,
+    ascending in (relation, tail), repeats kept; its undirected neighbours
+    are und_nbrs[und_indptr[x]:und_indptr[x + 1]], distinct and ascending,
+    x itself among them when it has a self-loop."""
+    heads, rels, tails = triples.T
+    order = np.lexsort((tails, rels, heads))
+    pairs = np.concatenate([heads * num_entities + tails, tails * num_entities + heads])
+    pairs = np.sort(pairs, kind="stable")
+    pairs = pairs[_firsts(pairs)]
+    rows = np.arange(num_entities + 1)
+    csrs = (heads[order].searchsorted(rows), rels[order], tails[order],
+            (pairs // num_entities).searchsorted(rows), pairs % num_entities)
+    for a in csrs:
+        a.flags.writeable = False
+    return csrs
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first of each run of equal, sorted, non-negative keys: with a
+    stable sort, it stands in for np.unique, whose numpy.ma import costs 1.3 MB."""
+    return np.diff(keys, prepend=-1) != 0
+
+
+def _starts(sizes) -> np.ndarray:
+    """Where each block starts when blocks of these sizes are laid end to end."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    return np.cumsum(sizes) - sizes
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices starts[i], ..., starts[i] + lengths[i] - 1 for every i, in order."""
+    return np.arange(lengths.sum()) + np.repeat(starts - _starts(lengths), lengths)
 
 
 def parse_triples(text: str) -> tuple[list[str], list[str], list[tuple[int, int, int]], int]:
@@ -108,30 +124,9 @@ def parse_triples(text: str) -> tuple[list[str], list[str], list[tuple[int, int,
     line).  Exact duplicate triples after id mapping are dropped and counted.
     A trailing carriage return (CRLF line ending) is stripped from each line.
     """
-    entity_names: list[str] = []
     entity_ids: dict[str, int] = {}
-    relation_names: list[str] = []
     relation_ids: dict[str, int] = {}
-    triples: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    dropped = 0
-
-    def ent(name: str) -> int:
-        i = entity_ids.get(name)
-        if i is None:
-            i = len(entity_names)
-            entity_ids[name] = i
-            entity_names.append(name)
-        return i
-
-    def rel(name: str) -> int:
-        i = relation_ids.get(name)
-        if i is None:
-            i = len(relation_names)
-            relation_ids[name] = i
-            relation_names.append(name)
-        return i
-
+    parsed: list[tuple[int, int, int]] = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.removesuffix("\r")
         if line == "":
@@ -140,15 +135,14 @@ def parse_triples(text: str) -> tuple[list[str], list[str], list[tuple[int, int,
         if len(parts) != 3 or any(p == "" for p in parts):
             raise ValueError(f"malformed triple on line {lineno}: {line!r}")
         h, r, t = parts
-        trip = (ent(h), rel(r), ent(t))
-        if trip in seen:
-            dropped += 1
-            continue
-        seen.add(trip)
-        triples.append(trip)
-    if not triples:
+        # a new name is interned under the next id
+        parsed.append((entity_ids.setdefault(h, len(entity_ids)),
+                       relation_ids.setdefault(r, len(relation_ids)),
+                       entity_ids.setdefault(t, len(entity_ids))))
+    if not parsed:
         raise ValueError("no triples found in input")
-    return entity_names, relation_names, triples, dropped
+    triples = list(dict.fromkeys(parsed))
+    return list(entity_ids), list(relation_ids), triples, len(parsed) - len(triples)
 
 
 def load_triples(text: str) -> KnowledgeGraph:
@@ -205,16 +199,9 @@ def from_parts(
     triples: list[tuple[int, int, int]],
 ) -> KnowledgeGraph:
     """Construct a graph from prebuilt vocabularies and id triples (dedups exact repeats)."""
-    seen: set[tuple[int, int, int]] = set()
-    kept: list[tuple[int, int, int]] = []
-    dropped = 0
-    for h, r, t in triples:
-        if (h, r, t) in seen:
-            dropped += 1
-            continue
-        seen.add((h, r, t))
-        kept.append((h, r, t))
-    return KnowledgeGraph(list(entity_names), list(relation_names), kept, duplicates_dropped=dropped)
+    kept = list(dict.fromkeys(map(tuple, triples)))
+    return KnowledgeGraph(list(entity_names), list(relation_names), kept,
+                          duplicates_dropped=len(triples) - len(kept))
 
 
 def without_triples(g: KnowledgeGraph, removed: list[tuple[int, int, int]]) -> KnowledgeGraph:
@@ -228,23 +215,37 @@ def out_neighbors(g: KnowledgeGraph, node: int, rel: int) -> list[int]:
     """Sorted tails t of edges (node, rel, t)."""
     g.check_entity(node)
     g.check_relation(rel)
-    return [t for r, t in g.out_edges[node] if r == rel]
+    lo, hi = g.out_indptr[node], g.out_indptr[node + 1]
+    first, last = lo + g.out_rels[lo:hi].searchsorted([rel, rel + 1])
+    return g.out_tails[first:last].tolist()
 
 
-def khop_nodes(g: KnowledgeGraph, node: int, k: int) -> set[int]:
-    """All nodes within undirected BFS distance k of node (node itself included)."""
-    g.check_entity(node)
+def khop_nodes(g: KnowledgeGraph, nodes, k: int) -> list[np.ndarray]:
+    """For each of nodes, the sorted, read-only intp array of the nodes within
+    undirected distance k of it, itself included.  All sources are searched
+    together, level by level over the undirected CSR, on masks of (source,
+    node) pairs, so transient memory grows with the sources in one call: two
+    bytes per source and entity, plus the neighbours one level gathers."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    n = g.num_entities
+    bad = (nodes < 0) | (nodes >= n)
+    if bad.any():
+        g.check_entity(int(nodes[bad.argmax()]))
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    seen = {node}
-    frontier = deque([(node, 0)])
-    while frontier:
-        cur, d = frontier.popleft()
-        if d == k:
-            continue
-        for nxt in g.neighbors[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, d + 1))
-    return seen
-
+    seen = np.zeros(len(nodes) * n, dtype=bool)  # pair (s, x) at s * n + x
+    frontier = np.arange(len(nodes)) * n + nodes
+    seen[frontier] = True
+    for _ in range(k):
+        at = frontier % n
+        first = g.und_indptr[at]
+        degree = g.und_indptr[at + 1] - first
+        reached = np.zeros_like(seen)
+        reached[np.repeat(frontier - at, degree) + g.und_nbrs[_ranges(first, degree)]] = True
+        frontier = np.flatnonzero(reached & ~seen)
+        seen[frontier] = True
+    keys = np.flatnonzero(seen)
+    found = keys % n
+    found.flags.writeable = False
+    ends = np.cumsum(np.bincount(keys // n, minlength=len(nodes)))
+    return np.split(found, ends[:-1])[: len(nodes)]  # no sources, no arrays

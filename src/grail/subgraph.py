@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
 # extraction reads g.khop; khop_nodes stays reachable as grail.subgraph.khop_nodes
-from .kg import KnowledgeGraph, khop_nodes  # noqa: F401
+from .kg import KnowledgeGraph, _firsts, _ranges, _starts, khop_nodes  # noqa: F401
 
 EXTRACTION_MODES = ("enclosing", "full_khop")
 LABEL_SCHEMES = ("double_radius", "constant")
@@ -102,8 +101,10 @@ def extract_union(
     """The unlabeled disjoint union of the subgraphs of candidates (u, r_t, v).
 
     Member i is candidate i's subgraph as extract_enclosing describes it,
-    and all members are built together in array passes: the
-    out-edges of every member's nodes are gathered from g.out_csr and kept
+    and all members are built together in array passes: g.khop finds the
+    k-hop sets of all u's in one call and of all v's in a second, one sort
+    of their (member, node) keys gives every member's node set, the
+    out-edges of every member's nodes are gathered from g's out-CSR and kept
     where the tail is in the same member, one sort puts them in canonical
     (local head, relation, local tail) order, each side runs one
     level-synchronous search over all members for at most k levels (a
@@ -124,31 +125,38 @@ def extract_union(
     if not candidates:
         raise ValueError("need at least one candidate to extract")
 
-    member_nodes = []
-    for u, _, v in candidates:
-        nu, nv = g.khop(u, k), g.khop(v, k)
-        rest = nu | nv if mode == "full_khop" else nu & nv
-        member_nodes.append((u, v, *sorted(rest - {u, v})))
-    sizes = np.fromiter(map(len, member_nodes), np.intp, len(member_nodes))
-    nodes = np.fromiter(chain.from_iterable(member_nodes), np.intp, int(sizes.sum()))
+    us, rts, vs = np.array(candidates, dtype=np.intp).reshape(-1, 3).T
+    # one sort of the (member, node) keys near each u and each v (every sort
+    # here is stable, the sort code auc_pr loads anyway): a key near both is a pair
+    n = g.num_entities
+    near = g.khop(us.tolist(), k) + g.khop(vs.tolist(), k)
+    keys = np.repeat(np.tile(np.arange(len(us)) * n, 2), list(map(len, near)))
+    keys = np.sort(keys + np.concatenate(near), kind="stable")
+    keys = keys[_firsts(keys)] if mode == "full_khop" else keys[1:][keys[1:] == keys[:-1]]
+    rest_member, rest = np.divmod(keys, n)
+    others = (rest != us[rest_member]) & (rest != vs[rest_member])
+    rest_member, rest = rest_member[others], rest[others]
+    # member i's rows: u, v, then the rest ascending, after 2 * i rows of earlier u's and v's
+    sizes = np.bincount(rest_member, minlength=len(us)) + 2
+    starts = _starts(sizes)
+    nodes = np.empty(int(sizes.sum()), dtype=np.intp)
+    nodes[starts], nodes[starts + 1] = us, vs
+    nodes[np.arange(len(rest)) + 2 * (rest_member + 1)] = rest
     member = np.repeat(np.arange(len(sizes)), sizes)
-    rts = np.array([r_t for _, r_t, _ in candidates], dtype=np.intp)
 
-    # rows by (member, graph id), so one search finds the row of an edge's tail;
-    # every sort here is stable, the sort code auc_pr loads anyway
-    keys = member * g.num_entities + nodes
+    # rows by (member, graph id), so one search finds the row of an edge's tail
+    keys = member * n + nodes
     by_key = np.argsort(keys, kind="stable")
     keys = np.append(keys[by_key], -1)  # -1: past the last key
-    indptr, out_rels, out_tails = g.out_csr()
-    first = indptr[nodes]
-    degree = indptr[nodes + 1] - first
+    first = g.out_indptr[nodes]
+    degree = g.out_indptr[nodes + 1] - first
     heads = np.repeat(np.arange(len(nodes)), degree)
     at = _ranges(first, degree)
-    tail_keys = member[heads] * g.num_entities + out_tails[at]
+    tail_keys = member[heads] * n + g.out_tails[at]
     found = np.searchsorted(keys[:-1], tail_keys)
     inside = keys[found] == tail_keys
     tails = by_key[found[inside]]
-    rels = out_rels[at][inside]
+    rels = g.out_rels[at][inside]
     heads = heads[inside]
     num_rel = g.num_relations
     order = np.argsort((heads * num_rel + rels) * len(nodes) + tails, kind="stable")
@@ -157,7 +165,6 @@ def extract_union(
     loops = edges[:, 0] == edges[:, 2]
     src = np.concatenate([edges[~loops, 0], edges[~loops, 2]])
     dst = np.concatenate([edges[~loops, 2], edges[~loops, 0]])
-    starts = _starts(sizes)
     dist_u = _levels(src, dst, len(nodes), starts, starts + 1, k)
     dist_v = _levels(src, dst, len(nodes), starts + 1, starts, k)
     if mode == "enclosing":
@@ -221,17 +228,6 @@ def _levels(
         dist[reached[dist[reached] == k + 1]] = level
     dist[blocked] = 1
     return dist
-
-
-def _starts(sizes) -> np.ndarray:
-    """Where each block starts when blocks of these sizes are laid end to end."""
-    sizes = np.asarray(sizes, dtype=np.intp)
-    return np.cumsum(sizes) - sizes
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The indices starts[i], ..., starts[i] + lengths[i] - 1 for every i, in order."""
-    return np.arange(lengths.sum()) + np.repeat(starts - _starts(lengths), lengths)
 
 
 def join(unions: list[SubgraphBatch]) -> SubgraphBatch:

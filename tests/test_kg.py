@@ -103,8 +103,10 @@ def test_without_triples_keeps_vocab():
     assert g2.relation_names == g.relation_names
     assert g2.triples == [(1, 1, 2), (0, 0, 2)]
     # rebuilt adjacency reflects the removal
-    assert g2.out_edges == [[(0, 2)], [(1, 2)], []]
-    assert g2.neighbors == [[2], [2], [0, 1]]
+    assert g2.out_indptr.tolist() == [0, 1, 2, 2]
+    assert g2.out_rels.tolist() == [0, 1] and g2.out_tails.tolist() == [2, 2]
+    assert g2.und_indptr.tolist() == [0, 1, 2, 4]
+    assert g2.und_nbrs.tolist() == [2, 2, 0, 1]
 
 
 def test_neighbor_queries_sorted():
@@ -125,10 +127,13 @@ def test_neighbor_queries_validate():
 
 def test_khop_validates():
     g = load_triples(TOY)
-    with pytest.raises(ValueError, match="invalid entity id"):
-        khop_nodes(g, -1, 1)
+    with pytest.raises(ValueError, match="invalid entity id -1"):
+        khop_nodes(g, [0, -1], 1)
+    with pytest.raises(ValueError, match="invalid entity id 3"):
+        khop_nodes(g, [3, 0], 1)
     with pytest.raises(ValueError, match="k must be"):
-        khop_nodes(g, 0, 0)
+        khop_nodes(g, [0], 0)
+    assert khop_nodes(g, [], 1) == []
 
 
 def test_khop_matches_distance_oracle():
@@ -137,14 +142,17 @@ def test_khop_matches_distance_oracle():
         g = random_kg(rng, num_entities=int(rng.integers(2, 14)),
                       num_relations=int(rng.integers(1, 4)),
                       num_edges=int(rng.integers(1, 30)))
-        u = int(rng.integers(g.num_entities))
+        sources = [int(x) for x in rng.integers(g.num_entities, size=int(rng.integers(1, 6)))]
         k = int(rng.integers(1, 4))
-        assert khop_nodes(g, u, k) == khop_set_oracle(g, u, k)
+        found = khop_nodes(g, sources, k)
+        assert len(found) == len(sources)
+        for u, nodes in zip(sources, found):
+            assert nodes.dtype == np.intp and list(nodes) == sorted(khop_set_oracle(g, u, k))
 
 
 def test_khop_ignores_direction():
     g = load_triples("a\tr\tb\nc\tr\tb\n")
-    assert khop_nodes(g, g.entity_ids["a"], 2) == {0, 1, 2}
+    assert khop_nodes(g, [g.entity_ids["a"]], 2)[0].tolist() == [0, 1, 2]
 
 
 def test_khop_memo_matches_distance_oracle():
@@ -153,20 +161,21 @@ def test_khop_memo_matches_distance_oracle():
         g = random_kg(rng, num_entities=int(rng.integers(2, 14)),
                       num_relations=int(rng.integers(1, 4)),
                       num_edges=int(rng.integers(1, 30)), allow_self_loops=True)
-        for x in range(g.num_entities):
-            for k in (1, 2, 3):
-                found = g.khop(x, k)
-                assert isinstance(found, frozenset)
-                assert found == khop_set_oracle(g, x, k)
+        for k in (1, 2, 3):
+            # a node may be asked for twice in one call
+            nodes = list(range(g.num_entities)) + [0]
+            for x, found in zip(nodes, g.khop(nodes, k)):
+                assert isinstance(found, np.ndarray) and found.dtype == np.intp
+                assert found.tolist() == sorted(khop_set_oracle(g, x, k))
 
 
 def _counting_khop_nodes(monkeypatch) -> list:
     runs = []
     search = grail.kg.khop_nodes
 
-    def counted(g, node, k):
-        runs.append((node, k))
-        return search(g, node, k)
+    def counted(g, nodes, k):
+        runs.append((list(nodes), k))
+        return search(g, nodes, k)
 
     monkeypatch.setattr(grail.kg, "khop_nodes", counted)
     return runs
@@ -175,35 +184,36 @@ def _counting_khop_nodes(monkeypatch) -> list:
 def test_khop_memo_searches_once_per_node_and_k(monkeypatch):
     runs = _counting_khop_nodes(monkeypatch)
     g = load_triples(TOY)
-    first = g.khop(0, 1)
-    assert g.khop(0, 1) is first
-    assert runs == [(0, 1)]
-    g.khop(0, 2)
-    g.khop(1, 1)
-    g.khop(0, 2)
-    assert runs == [(0, 1), (0, 2), (1, 1)]
+    [first] = g.khop([0], 1)
+    assert g.khop([0], 1)[0] is first
+    assert runs == [([0], 1)]
+    g.khop([0], 2)
+    g.khop([1, 0, 2, 1], 1)  # only the nodes not memoized yet, each once, in one search
+    g.khop([0, 2], 2)
+    assert runs == [([0], 1), ([0], 2), ([1, 2], 1), ([2], 2)]
+    g.khop([2, 1, 0], 1)
+    assert len(runs) == 4
     with pytest.raises(ValueError, match="k must be"):
-        g.khop(0, 0)
+        g.khop([0], 0)
     with pytest.raises(ValueError, match="invalid entity id"):
-        g.khop(99, 1)
+        g.khop([99], 1)
 
 
 def test_khop_memo_does_not_cross_graphs(monkeypatch):
     g = load_triples("a\tr\tb\nb\tr\tc\n")
     a = g.entity_ids["a"]
-    assert g.khop(a, 2) == {0, 1, 2}
+    assert g.khop([a], 2)[0].tolist() == [0, 1, 2]
     runs = _counting_khop_nodes(monkeypatch)
     g2 = without_triples(g, [(1, 0, 2)])
     assert g2._khop == {}
-    assert g2.khop(a, 2) == {0, 1}  # searched again on the smaller graph
-    assert runs == [(a, 2)]
-    assert g.khop(a, 2) == {0, 1, 2}
+    assert g2.khop([a], 2)[0].tolist() == [0, 1]  # searched again on the smaller graph
+    assert runs == [([a], 2)]
+    assert g.khop([a], 2)[0].tolist() == [0, 1, 2]
 
 
 def test_khop_memo_takes_no_part_in_equality():
     warm, fresh = load_triples(TOY), load_triples(TOY)
-    for x in range(warm.num_entities):
-        warm.khop(x, 2)
+    warm.khop(range(warm.num_entities), 2)
     assert warm._khop and not fresh._khop
     assert warm == fresh
     assert "_khop" not in repr(warm)
@@ -211,8 +221,7 @@ def test_khop_memo_takes_no_part_in_equality():
 
 def test_khop_memo_is_freed_with_its_graph():
     g = load_triples(TOY)
-    for x in range(g.num_entities):
-        g.khop(x, 2)
+    g.khop(range(g.num_entities), 2)
     ref = weakref.ref(g)
     del g
     gc.collect()
@@ -226,15 +235,41 @@ def test_graphs_equal_detects_difference():
     assert not graphs_equal(g, g2)
 
 
+def _check_csrs(g: KnowledgeGraph) -> None:
+    """Both CSRs against brute force from g.triples."""
+    n = g.num_entities
+    assert g.out_indptr.tolist() == [0] + np.cumsum(
+        [sum(h == x for h, _, _ in g.triples) for x in range(n)]).tolist()
+    for x in range(n):
+        lo, hi = g.out_indptr[x], g.out_indptr[x + 1]
+        out = list(zip(g.out_rels[lo:hi].tolist(), g.out_tails[lo:hi].tolist()))
+        assert out == sorted((r, t) for h, r, t in g.triples if h == x)  # repeats kept
+        lo, hi = g.und_indptr[x], g.und_indptr[x + 1]
+        touching = {t for h, _, t in g.triples if h == x} | {h for h, _, t in g.triples if t == x}
+        assert g.und_nbrs[lo:hi].tolist() == sorted(touching)  # x itself if it has a self-loop
+    assert g.und_indptr[-1] == len(g.und_nbrs)
+    for a in (g.out_indptr, g.out_rels, g.out_tails, g.und_indptr, g.und_nbrs):
+        assert a.dtype == np.intp
+
+
 def test_indices_cover_all_triples():
     rng = np.random.default_rng(1)
-    g = random_kg(rng, 10, 3, 40, allow_self_loops=True)
-    indexed = [(h, r, t) for h, edges in enumerate(g.out_edges) for r, t in edges]
-    assert sorted(indexed) == sorted(g.triples)  # each triple exactly once
-    assert all(edges == sorted(edges) for edges in g.out_edges)
-    for n in range(g.num_entities):
-        touching = {t for h, _, t in g.triples if h == n} | {h for h, _, t in g.triples if t == n}
-        assert g.neighbors[n] == sorted(touching)
+    with_loops = 0
+    for _ in range(20):
+        g = random_kg(rng, int(rng.integers(1, 14)), int(rng.integers(1, 4)),
+                      int(rng.integers(0, 50)), allow_self_loops=True)
+        _check_csrs(g)
+        with_loops += any(h == t for h, _, t in g.triples)
+    assert with_loops >= 5
+
+
+def test_graph_arrays_are_read_only():
+    g = load_triples(TOY)
+    found = g.khop([0, 1], 2) + khop_nodes(g, [2], 1)
+    for a in (g.out_indptr, g.out_rels, g.out_tails, g.und_indptr, g.und_nbrs, *found):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 def test_direct_construction_rejects_out_of_range_ids():
@@ -244,9 +279,14 @@ def test_direct_construction_rejects_out_of_range_ids():
     for bad in [(0, -1, 1), (0, 1, 1)]:
         with pytest.raises(ValueError, match="relation id out of range"):
             KnowledgeGraph(["a", "b", "c"], ["r"], [bad])
+    # the first bad triple is named, whichever check it fails
+    with pytest.raises(ValueError, match=r"triple \(0,1,1\) has relation id"):
+        KnowledgeGraph(["a", "b", "c"], ["r"], [(0, 0, 1), (0, 1, 1), (0, 0, 3)])
 
 
 def test_direct_construction_builds_indices():
-    g = KnowledgeGraph(["a", "b", "c"], ["r"], [(0, 0, 1)])
-    assert g.out_edges == [[(0, 1)], [], []]
-    assert g.neighbors == [[1], [0], []]
+    g = KnowledgeGraph(["a", "b", "c"], ["r", "s"], [(0, 1, 1), (0, 0, 1), (2, 0, 2), (0, 1, 1)])
+    _check_csrs(g)
+    assert g.out_indptr.tolist() == [0, 3, 3, 4]
+    assert g.out_rels.tolist() == [0, 1, 1, 0] and g.out_tails.tolist() == [1, 1, 1, 2]
+    assert g.und_indptr.tolist() == [0, 1, 2, 3] and g.und_nbrs.tolist() == [1, 0, 2]

@@ -285,6 +285,19 @@ def test_take_members_gathers_what_join_concatenates():
         join([])
 
 
+def test_unions_own_their_node_and_edge_arrays():
+    # scorers rewrite edges[:, 1] in place, so no union may alias the graph's read-only arrays
+    g = chain_graph()
+    for mode in EXTRACTION_MODES:
+        union = extract_union(g, [(0, 0, 1), (0, 1, 3), (2, 0, 0)], 2, mode)
+        shared = [g.out_indptr, g.out_rels, g.out_tails, g.und_indptr, g.und_nbrs,
+                  *g._khop.values()]
+        for a in (union.nodes, union.edges):
+            assert a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in shared)
+        union.edges[:, 1] = 0
+
+
 def test_a_bad_later_member_fails_the_union_as_it_fails_alone():
     g = chain_graph()
     n, m = g.num_entities, g.num_relations
