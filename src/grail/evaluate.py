@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .kg import KnowledgeGraph, atomic_open, without_triples
 from .model import GnnConfig, GnnParams, score_triplet
-from .subgraph import SubgraphBatch, extract_union, feature_dim, label_nodes
+from .subgraph import SubgraphBatch, bounded_chunks, extract_union, feature_dim, label_nodes
 
 
 def auc_pr(pos_scores, neg_scores) -> float:
@@ -92,9 +92,10 @@ class GrailScorer:
     Relations are matched by name against the training vocabulary, and
     auxiliary features are looked up by entity name, so the entity
     vocabulary of the scored graph is free to be disjoint from training (the
-    inductive setting).  A call extracts and scores a list of candidates as
-    one disjoint union of their labeled subgraphs, with dropout off and no
-    tape.
+    inductive setting).  A call checks the vocabulary and builds the held-out
+    keys once, then extracts, labels and scores its candidates in
+    node-bounded chunks, each as one disjoint union of their labeled
+    subgraphs, with dropout off and no tape.
     """
 
     def __init__(
@@ -138,34 +139,37 @@ class GrailScorer:
     ) -> list[float]:
         """Scores of candidates (h, r, t) of g, in order.
 
-        held_out holds id triples of g that must not reach message passing:
-        an AssertionError names the first one found in a candidate's
-        subgraph other than as the candidate edge itself.
+        The candidates are scored in the consecutive chunks of
+        bounded_chunks, one union each, so a call's memory is bounded by
+        NODE_BUDGET however many candidates it holds.  held_out holds id
+        triples of g that must not reach message passing: an AssertionError
+        names the first one found in a candidate's subgraph other than as
+        the candidate edge itself.
         """
         unknown = [n for n in g.relation_names if n not in self.relation_ids]
         if unknown:
             raise ValueError(
                 "graph relations absent from model vocabulary: " + ", ".join(sorted(unknown))
             )
-        batch = extract_union(g, candidates, self.hops, self.mode)
-        batch = label_nodes(batch, self.labeling, self._aux_by_id(g, batch.nodes))
-        _check_held_out(g, batch, held_out)
         rel_map = np.array([self.relation_ids[n] for n in g.relation_names], dtype=np.intp)
-        batch.edges[:, 1] = rel_map[batch.edges[:, 1]]
-        batch.edge_target_rels = rel_map[batch.edge_target_rels]
-        batch.target_rels = rel_map[batch.target_rels]
-        with ad.no_grad():
-            return score_triplet(batch, self.params, self.cfg).data[:, 0].tolist()
+        held_keys = _held_out_keys(g, held_out)
+        scores = []
+        for part in bounded_chunks(g, candidates, self.hops, self.mode):
+            batch = extract_union(g, part, self.hops, self.mode)
+            batch = label_nodes(batch, self.labeling, self._aux_by_id(g, batch.nodes))
+            _check_held_out(g, batch, held_keys)
+            batch.edges[:, 1] = rel_map[batch.edges[:, 1]]
+            batch.edge_target_rels = rel_map[batch.edge_target_rels]
+            batch.target_rels = rel_map[batch.target_rels]
+            with ad.no_grad():
+                scores += score_triplet(batch, self.params, self.cfg).data[:, 0].tolist()
+        return scores
 
 
-def _check_held_out(
-    g: KnowledgeGraph, batch: SubgraphBatch, held_out: set[tuple[int, int, int]]
-) -> None:
-    """Raise AssertionError naming the first held-out edge of the union that
-    is not its member's candidate edge, and ValueError naming a held-out
-    triple with an id outside g (its key could alias another edge's)."""
-    if not held_out:
-        return
+def _held_out_keys(g: KnowledgeGraph, held_out: set[tuple[int, int, int]]) -> np.ndarray:
+    """The sorted integer keys (h * m + r) * n + t of the held-out triples;
+    ValueError names a triple with an id outside g (its key could alias
+    another edge's)."""
     n, m = g.num_entities, g.num_relations
     held = np.array(list(held_out), dtype=np.intp).reshape(-1, 3)
     outside = ((held < 0) | (held >= (n, m, n))).any(axis=1)
@@ -174,7 +178,15 @@ def _check_held_out(
         raise ValueError(
             f"held-out triple {bad} is outside the graph's {n} entities and {m} relations"
         )
-    held_keys = np.sort((held[:, 0] * m + held[:, 1]) * n + held[:, 2], kind="stable")
+    return np.sort((held[:, 0] * m + held[:, 1]) * n + held[:, 2], kind="stable")
+
+
+def _check_held_out(g: KnowledgeGraph, batch: SubgraphBatch, held_keys: np.ndarray) -> None:
+    """Raise AssertionError naming the first held-out edge of the union that
+    is not its member's candidate edge."""
+    if not len(held_keys):
+        return
+    n, m = g.num_entities, g.num_relations
     heads, tails = batch.nodes[batch.edges[:, 0]], batch.nodes[batch.edges[:, 2]]
     rels = batch.edges[:, 1]
     keys = (heads * m + rels) * n + tails
@@ -189,6 +201,29 @@ def _check_held_out(
         raise AssertionError(f"held-out edge leaked into message passing: {names}")
 
 
+@dataclass(slots=True)
+class EvalRecord:
+    """One scored triple of a report, read and written by key like a dict
+    (rec["score"]); slots keep a round's records small."""
+
+    head: str
+    rel: str
+    tail: str
+    label: int
+    score: float
+    rank: int | None
+
+    def __getitem__(self, key: str):
+        if key not in self.__slots__:
+            raise KeyError(key)
+        return getattr(self, key)
+
+    def __setitem__(self, key: str, value) -> None:
+        if key not in self.__slots__:
+            raise KeyError(key)
+        setattr(self, key, value)
+
+
 @dataclass
 class EvalReport:
     auc_pr: float
@@ -197,7 +232,7 @@ class EvalReport:
     num_negatives: int
     seed: int
     skipped_self_loops: int = 0
-    records: list[dict] = field(default_factory=list)
+    records: list[EvalRecord] = field(default_factory=list)
 
     def to_text(self) -> str:
         lines = [
@@ -228,9 +263,10 @@ def evaluate(
     positive among num_negatives corruptions.  All negatives are drawn up
     front from seeded streams, so results are reproducible bit-for-bit for a
     given seed.  scorer(graph, candidates, held_out) returns one score per
-    candidate; it is called once per scoreable test edge, with candidates
-    [positive, AUC negative, *rank negatives] and held_out the test edges,
-    which the message graph keeps out of every subgraph.
+    candidate; it is called once per round, with every scoreable test
+    edge's [positive, AUC negative, *rank negatives] laid end to end, and
+    held_out the test edges, which the message graph keeps out of every
+    subgraph.
     """
     if not test_edges:
         raise ValueError("no test edges to evaluate")
@@ -248,41 +284,23 @@ def evaluate(
         [sample_negative(msg_graph, trip, rng_rank) for _ in range(num_negatives)]
         for trip in scoreable
     ]
-    held_out = set(test_edges)
-    results = [
-        scorer(msg_graph, [trip, auc_neg, *negs], held_out)
-        for trip, auc_neg, negs in zip(scoreable, auc_negs, rank_negs)
-    ]
-    pos_scores = [res[0] for res in results]
-    neg_scores = [res[1] for res in results]
+    candidates = []
+    for trip, auc_neg, negs in zip(scoreable, auc_negs, rank_negs):
+        candidates += [trip, auc_neg, *negs]
+    scores = scorer(msg_graph, candidates, set(test_edges))
+    if len(scores) != len(candidates):
+        raise ValueError(f"scorer returned {len(scores)} scores for {len(candidates)} candidates")
+    per = 2 + num_negatives
+    pos_scores, neg_scores = scores[::per], scores[1::per]
+    ents, rels = g_ind_test.entity_names, g_ind_test.relation_names  # msg_graph's too
     records = []
     hits = 0
-    for trip, pos, res in zip(scoreable, pos_scores, results):
-        rank = rank_from_scores(pos, res[2:])
-        if rank <= 10:
-            hits += 1
-        h, r, t = trip
-        records.append(
-            {
-                "head": g_ind_test.entity_names[h],
-                "rel": g_ind_test.relation_names[r],
-                "tail": g_ind_test.entity_names[t],
-                "label": 1,
-                "score": pos,
-                "rank": rank,
-            }
-        )
+    for i, (h, r, t) in enumerate(scoreable):
+        rank = rank_from_scores(pos_scores[i], scores[i * per + 2:(i + 1) * per])
+        hits += rank <= 10
+        records.append(EvalRecord(ents[h], rels[r], ents[t], 1, pos_scores[i], rank))
     for (h, r, t), neg in zip(auc_negs, neg_scores):
-        records.append(
-            {
-                "head": msg_graph.entity_names[h],
-                "rel": msg_graph.relation_names[r],
-                "tail": msg_graph.entity_names[t],
-                "label": 0,
-                "score": neg,
-                "rank": None,
-            }
-        )
+        records.append(EvalRecord(ents[h], rels[r], ents[t], 0, neg, None))
     return EvalReport(
         auc_pr=auc_pr(pos_scores, neg_scores),
         hits_at_10=hits / len(scoreable),

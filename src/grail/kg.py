@@ -220,12 +220,17 @@ def out_neighbors(g: KnowledgeGraph, node: int, rel: int) -> list[int]:
     return g.out_tails[first:last].tolist()
 
 
+# (source, entity) pairs one k-hop search holds at most: two bytes each in its masks
+SEARCH_PAIRS = 1 << 18
+
+
 def khop_nodes(g: KnowledgeGraph, nodes, k: int) -> list[np.ndarray]:
     """For each of nodes, the sorted, read-only intp array of the nodes within
-    undirected distance k of it, itself included.  All sources are searched
-    together, level by level over the undirected CSR, on masks of (source,
-    node) pairs, so transient memory grows with the sources in one call: two
-    bytes per source and entity, plus the neighbours one level gathers."""
+    undirected distance k of it, itself included.  The sources are searched
+    in consecutive chunks of at most SEARCH_PAIRS // num_entities (at least
+    one), each chunk together, so transient memory is bounded by the chunk,
+    not by the call: two bytes per source and entity, plus the neighbours
+    one level gathers."""
     nodes = np.asarray(nodes, dtype=np.intp)
     n = g.num_entities
     bad = (nodes < 0) | (nodes >= n)
@@ -233,6 +238,15 @@ def khop_nodes(g: KnowledgeGraph, nodes, k: int) -> list[np.ndarray]:
         g.check_entity(int(nodes[bad.argmax()]))
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    step = max(1, SEARCH_PAIRS // max(n, 1))
+    return [found for lo in range(0, len(nodes), step)
+            for found in _search(g, nodes[lo:lo + step], k)]
+
+
+def _search(g: KnowledgeGraph, nodes: np.ndarray, k: int) -> list[np.ndarray]:
+    """khop_nodes of all of nodes at once, level by level over the undirected
+    CSR, on masks of (source, node) pairs."""
+    n = g.num_entities
     seen = np.zeros(len(nodes) * n, dtype=bool)  # pair (s, x) at s * n + x
     frontier = np.arange(len(nodes)) * n + nodes
     seen[frontier] = True

@@ -13,6 +13,9 @@ from .kg import KnowledgeGraph, _firsts, _ranges, _starts, khop_nodes  # noqa: F
 EXTRACTION_MODES = ("enclosing", "full_khop")
 LABEL_SCHEMES = ("double_radius", "constant")
 
+# a chunk of candidates (bounded_chunks) closes once its members' node bounds sum to this
+NODE_BUDGET = 20_000
+
 
 @dataclass
 class SubgraphBatch:
@@ -112,20 +115,7 @@ def extract_union(
     in enclosing mode), the pruning is one mask, and each candidate edge
     that is not induced is appended after its member's edges.
     """
-    for u, r_t, v in candidates:
-        g.check_entity(u)
-        g.check_entity(v)
-        g.check_relation(r_t)
-        if u == v:
-            raise ValueError(f"target nodes must differ, got u == v == {u}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if mode not in EXTRACTION_MODES:
-        raise ValueError(f"unknown extraction mode {mode!r}, expected one of {EXTRACTION_MODES}")
-    if not candidates:
-        raise ValueError("need at least one candidate to extract")
-
-    us, rts, vs = np.array(candidates, dtype=np.intp).reshape(-1, 3).T
+    us, rts, vs = _candidate_array(g, candidates, k, mode).T
     # one sort of the (member, node) keys near each u and each v (every sort
     # here is stable, the sort code auc_pr loads anyway): a key near both is a pair
     n = g.num_entities
@@ -210,6 +200,68 @@ def extract_union(
         dist_v=dist_v,
         features=None,
     )
+
+
+def _candidate_array(g: KnowledgeGraph, candidates, k: int, mode: str) -> np.ndarray:
+    """candidates (u, r_t, v) as a (C, 3) intp array.  Raises ValueError for
+    the first bad candidate, as its own extraction would, then for a bad k,
+    a bad mode or no candidates."""
+    cands = np.asarray(candidates, dtype=np.intp).reshape(-1, 3)
+    us, rts, vs = cands.T
+    n = g.num_entities
+    bad = (us < 0) | (us >= n) | (vs < 0) | (vs >= n) | (us == vs)
+    bad |= (rts < 0) | (rts >= g.num_relations)
+    if bad.any():
+        u, r_t, v = cands[bad.argmax()].tolist()
+        g.check_entity(u)
+        g.check_entity(v)
+        g.check_relation(r_t)
+        raise ValueError(f"target nodes must differ, got u == v == {u}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if mode not in EXTRACTION_MODES:
+        raise ValueError(f"unknown extraction mode {mode!r}, expected one of {EXTRACTION_MODES}")
+    if not len(cands):
+        raise ValueError("need at least one candidate to extract")
+    return cands
+
+
+def node_bounds(
+    g: KnowledgeGraph,
+    candidates,
+    k: int,
+    mode: str = "enclosing",
+) -> np.ndarray:
+    """(C,) upper bounds on the node counts of the members of
+    extract_union(g, candidates, k, mode), read from the k-hop sets of g.khop
+    without extracting: min(|N_k(u)|, |N_k(v)|) + 2 for enclosing, whose
+    member is u, v and nodes of both sets, and |N_k(u)| + |N_k(v)| for
+    full_khop, whose member is the union of the two sets."""
+    us, _, vs = _candidate_array(g, candidates, k, mode).T
+    near_u = np.fromiter(map(len, g.khop(us.tolist(), k)), np.intp, len(us))
+    near_v = np.fromiter(map(len, g.khop(vs.tolist(), k)), np.intp, len(vs))
+    return np.minimum(near_u, near_v) + 2 if mode == "enclosing" else near_u + near_v
+
+
+def bounded_chunks(
+    g: KnowledgeGraph,
+    candidates,
+    k: int,
+    mode: str = "enclosing",
+) -> list[np.ndarray]:
+    """candidates as consecutive (C_i, 3) intp arrays, in order, each closed
+    once its node_bounds sum to NODE_BUDGET: a chunk's bounds sum to at most
+    NODE_BUDGET, except that a candidate whose bound alone exceeds it is a
+    chunk of its own.  Extracting chunk by chunk bounds the size of each
+    union before any of it is built."""
+    cands = _candidate_array(g, candidates, k, mode)
+    total = np.cumsum(node_bounds(g, cands, k, mode))
+    ends, done = [], 0
+    while done < len(total):
+        below = total[done - 1] if done else 0
+        done = max(done + 1, int(np.searchsorted(total, below + NODE_BUDGET, side="right")))
+        ends.append(done)
+    return np.split(cands, ends[:-1])
 
 
 def _levels(

@@ -16,7 +16,14 @@ import grail.autodiff as ad
 from grail.autodiff import grad_check
 from grail.evaluate import GrailScorer, evaluate
 from grail.model import GnnConfig, init_params, sample_edge_masks, score_triplet
-from grail.subgraph import EXTRACTION_MODES, extract_enclosing, feature_dim, join, label_nodes
+from grail.subgraph import (
+    EXTRACTION_MODES,
+    bounded_chunks,
+    extract_enclosing,
+    feature_dim,
+    join,
+    label_nodes,
+)
 from grail.train import (
     _GROUP_NEGATIVES,
     TrainConfig,
@@ -116,9 +123,11 @@ def test_train_and_evaluate_score_through_the_traced_entry_points(monkeypatch):
     # by these call counts and take subgraph size percentiles from what
     # `extract_enclosing` returns, so training must extract each positive
     # through it once.  Negatives are extracted with one `extract_union` call
-    # per group of minibatches, never one per minibatch.
+    # per group of minibatches, never one per minibatch.  Evaluation calls the
+    # scorer once per round, and the scorer scores one union per chunk.
     g, valid, test, tcfg, cfg = _toy_run()
     model_mod, train_mod = sys.modules["grail.model"], sys.modules["grail.train"]
+    subgraph_mod = sys.modules["grail.subgraph"]
     layer_forward, score = model_mod.layer_forward, model_mod.score_triplet
     extract, extract_union = train_mod.extract_enclosing, train_mod.extract_union
     layers = [0]
@@ -171,12 +180,28 @@ def test_train_and_evaluate_score_through_the_traced_entry_points(monkeypatch):
     assert union_members == [len(valid)] * 2 + per_group * tcfg.epochs
     assert sum(per_group) == negatives and len(per_group) < batches
 
-    calls.clear()
-    evaluate(scorer_from_checkpoint(best), g, test, num_negatives=4, seed=0)
-    # one untaped call per test edge: the positive, its AUC negative and its rank negatives
-    assert calls == [(cfg.num_layers, 2 + 4, False)] * len(test)
     # the tracer patches this name on the class; without it, it would wrap type.__call__
     assert "__call__" in vars(GrailScorer)
+    scorer_call = GrailScorer.__call__
+    rounds = []
+
+    def counted_scorer(self, graph, candidates, held_out):
+        rounds.append((graph, list(candidates)))
+        return scorer_call(self, graph, candidates, held_out)
+
+    monkeypatch.setattr(GrailScorer, "__call__", counted_scorer)
+    for budget in (subgraph_mod.NODE_BUDGET, 40):
+        monkeypatch.setattr(subgraph_mod, "NODE_BUDGET", budget)
+        calls.clear()
+        rounds.clear()
+        evaluate(scorer_from_checkpoint(best), g, test, num_negatives=4, seed=0)
+        # one scorer call per round: every test edge's positive, AUC negative and rank negatives
+        [(msg, candidates)] = rounds
+        assert len(candidates) == len(test) * (2 + 4)
+        # then one untaped call per node-bounded chunk
+        chunks = bounded_chunks(msg, candidates, tcfg.hops, tcfg.extraction_mode)
+        assert calls == [(cfg.num_layers, len(part), False) for part in chunks]
+    assert len(chunks) > 1
 
 
 @pytest.mark.parametrize("mode", EXTRACTION_MODES)

@@ -1,5 +1,6 @@
 """AUC-PR, ranking, inductive evaluation, score files, and late fusion."""
 
+import copy
 import csv
 import os
 import subprocess
@@ -203,6 +204,62 @@ def test_failed_evaluate_clears_forbidden_edges():
     g2 = load_triples("a\tp\tc\nc\tp\tb\na\tq\tb\n")
     cand = (g2.entity_ids["a"], g2.relation_ids["q"], g2.entity_ids["b"])
     assert np.isfinite(scorer(g2, [cand], set())[0])
+
+
+@pytest.mark.parametrize("mode", ["enclosing", "full_khop"])
+def test_chunked_round_matches_one_scorer_call_per_test_edge(monkeypatch, mode):
+    g = random_kg(np.random.default_rng(13), 40, 3, 200)
+    scorer = scorer_fixture(g.relation_names)
+    scorer.mode = mode
+    test_edges = g.triples[:10]
+    per = 2 + 20
+
+    def per_edge(graph, candidates, held_out):
+        return [s for lo in range(0, len(candidates), per)
+                for s in scorer(graph, candidates[lo:lo + per], held_out)]
+
+    want = evaluate(per_edge, g, test_edges, num_negatives=20, seed=4)
+    chunks = []
+    chunk = sys.modules["grail.evaluate"].bounded_chunks
+
+    def spied(*args):
+        out = chunk(*args)
+        chunks.extend(len(part) for part in out)
+        return out
+
+    monkeypatch.setattr(sys.modules["grail.evaluate"], "bounded_chunks", spied)
+    monkeypatch.setattr(sys.modules["grail.subgraph"], "NODE_BUDGET", 300)
+    got = evaluate(scorer, g, test_edges, num_negatives=20, seed=4)
+    # several chunks, and their boundaries cut through test edges' candidate lists
+    assert len(chunks) > 2 and sum(chunks) == len(test_edges) * per
+    assert any(n % per for n in chunks)
+    assert (got.auc_pr, got.hits_at_10) == (want.auc_pr, want.hits_at_10)
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert [a[key] for key in ("head", "rel", "tail", "label")] == \
+            [b[key] for key in ("head", "rel", "tail", "label")]
+        assert abs(a["score"] - b["score"]) <= 1e-12 * max(1.0, abs(b["score"]))
+
+
+def test_records_are_slotted_and_read_and_write_by_key():
+    g = random_kg(np.random.default_rng(14), 20, 2, 80)
+    scorer = scorer_fixture(g.relation_names)
+    report = evaluate(scorer, g, g.triples[:4], num_negatives=5, seed=1)
+    again = evaluate(scorer, g, g.triples[:4], num_negatives=5, seed=1)
+    assert report.records == again.records and report.records is not again.records
+    rec = report.records[0]
+    assert not hasattr(rec, "__dict__")
+    assert (rec["head"], rec["label"], rec["rank"]) == (rec.head, 1, rec.rank)
+    assert report.records[-1]["rank"] is None
+    copied = copy.deepcopy(report)
+    assert copied.records == report.records and copied.records[0] is not rec
+    rec["score"] += 1.0
+    assert rec.score == copied.records[0]["score"] + 1.0 and report.records != again.records
+    for bad in ("nope", "__class__"):
+        with pytest.raises(KeyError):
+            rec[bad]
+        with pytest.raises(KeyError):
+            rec[bad] = 0
 
 
 def test_evaluate_leak_check_fires_when_test_edges_stay_in_the_graph(monkeypatch):

@@ -199,6 +199,36 @@ def test_khop_memo_searches_once_per_node_and_k(monkeypatch):
         g.khop([99], 1)
 
 
+def test_khop_searches_in_chunks_of_the_pair_budget(monkeypatch):
+    rng = np.random.default_rng(41)
+    g = random_kg(rng, 30, 3, 70)
+    nodes = [int(x) for x in rng.integers(30, size=40)]
+    whole = khop_nodes(g, nodes, 3)
+    searched = []
+    search = grail.kg._search
+
+    def counted(graph, sources, k):
+        searched.append(sources.tolist())
+        return search(graph, sources, k)
+
+    monkeypatch.setattr(grail.kg, "_search", counted)
+    monkeypatch.setattr(grail.kg, "SEARCH_PAIRS", 7 * g.num_entities + 5)  # 7 sources a search
+    g.khop(nodes[:6], 3)
+    searched.clear()
+    got = g.khop(nodes, 3)
+    for a, b in zip(got, whole, strict=True):
+        assert a.dtype == b.dtype and not a.flags.writeable and np.array_equal(a, b)
+    # each node not memoized yet, once, in order, seven at a time
+    todo = [x for x in dict.fromkeys(nodes) if x not in nodes[:6]]
+    assert [x for chunk in searched for x in chunk] == todo
+    assert [len(chunk) for chunk in searched[:-1]] == [7] * (len(searched) - 1) and len(searched) > 2
+    # a budget below one entity row still searches one source at a time
+    monkeypatch.setattr(grail.kg, "SEARCH_PAIRS", 1)
+    searched.clear()
+    assert all(np.array_equal(a, b) for a, b in zip(khop_nodes(g, nodes[:3], 3), whole))
+    assert searched == [[x] for x in nodes[:3]]
+
+
 def test_khop_memo_does_not_cross_graphs(monkeypatch):
     g = load_triples("a\tr\tb\nb\tr\tc\n")
     a = g.entity_ids["a"]

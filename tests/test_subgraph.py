@@ -6,15 +6,18 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from grail.kg import load_triples, without_triples
+import grail.subgraph
+from grail.kg import from_parts, load_triples, without_triples
 from grail.subgraph import (
     EXTRACTION_MODES,
     LABEL_SCHEMES,
+    bounded_chunks,
     extract_enclosing,
     extract_union,
     feature_dim,
     join,
     label_nodes,
+    node_bounds,
     parse_aux_features,
     take_members,
 )
@@ -95,6 +98,64 @@ def test_induced_edges_complete():
                 want.append(target(sub))
             assert sub.edges.dtype == np.intp and sub.edges.shape == (len(want), 3)
             assert [tuple(e) for e in sub.edges.tolist()] == want
+
+
+def _random_candidates(rng, g, count):
+    pairs = [rng.choice(g.num_entities, size=2, replace=False) for _ in range(count)]
+    return [(int(u), int(rng.integers(g.num_relations)), int(v)) for u, v in pairs]
+
+
+def test_node_bounds_cover_every_member():
+    rng = np.random.default_rng(31)
+    tight = 0
+    for trial in range(24):
+        # sparse graphs leave isolated endpoints, whose members are u and v alone
+        g = random_kg(rng, int(rng.integers(6, 30)), 3, int(rng.integers(2, 60)),
+                      allow_self_loops=True)
+        candidates = _random_candidates(rng, g, int(rng.integers(1, 12)))
+        for mode in EXTRACTION_MODES:
+            for k in (1, 2, 3):
+                bounds = node_bounds(g, candidates, k, mode)
+                sizes = extract_union(g, candidates, k, mode).member_sizes
+                assert bounds.shape == sizes.shape and np.all(bounds >= sizes), (trial, mode, k)
+                tight += int(np.sum(bounds == sizes))
+    assert tight > 0  # a bound one node lower would miss some member
+
+
+def test_bounded_chunks_lay_the_candidates_end_to_end(monkeypatch):
+    rng = np.random.default_rng(32)
+    g = random_kg(rng, 40, 3, 120)
+    candidates = _random_candidates(rng, g, 50)
+    for mode in EXTRACTION_MODES:
+        bounds = node_bounds(g, candidates, 2, mode)
+        for budget in (1, 30, int(bounds.sum()) // 3, grail.subgraph.NODE_BUDGET):
+            monkeypatch.setattr(grail.subgraph, "NODE_BUDGET", budget)
+            chunks = bounded_chunks(g, candidates, 2, mode)
+            assert all(part.dtype == np.intp and part.shape[1] == 3 for part in chunks)
+            assert np.concatenate(chunks).tolist() == [list(c) for c in candidates]
+            ends = np.cumsum([len(part) for part in chunks])
+            for lo, hi in zip([0, *ends[:-1]], ends):
+                total = int(bounds[lo:hi].sum())
+                assert total <= budget or hi - lo == 1
+                # a chunk closes only where its next candidate would take it past the budget
+                assert hi == len(bounds) or total + bounds[hi] > budget
+        monkeypatch.setattr(grail.subgraph, "NODE_BUDGET", 10**9)
+        assert len(bounded_chunks(g, candidates, 2, mode)) == 1
+
+
+def test_an_oversized_candidate_is_a_chunk_of_its_own(monkeypatch):
+    # a 10-clique among 30 otherwise isolated entities: a candidate inside the
+    # clique is bounded by 12 nodes at k=1, one between isolated entities by 3
+    clique = [(a, 0, b) for a in range(10) for b in range(10) if a < b]
+    g = from_parts([f"n{i}" for i in range(30)], ["r"], clique)
+    small = [(10 + 2 * i, 0, 11 + 2 * i) for i in range(8)]
+    candidates = small[:5] + [(0, 0, 1)] + small[5:]
+    assert node_bounds(g, candidates, 1).tolist() == [3] * 5 + [12] + [3] * 3
+    # three small bounds reach the budget exactly, so their chunk closes there
+    monkeypatch.setattr(grail.subgraph, "NODE_BUDGET", 9)
+    chunks = bounded_chunks(g, candidates, 1)
+    assert [len(part) for part in chunks] == [3, 2, 1, 3]
+    assert chunks[2].tolist() == [[0, 0, 1]]
 
 
 def test_target_edge_present_exactly_once():
