@@ -1,6 +1,7 @@
 """Margin training loop, Adam, clipping, and the checkpoint wire format."""
 
 import dataclasses
+import hashlib
 import os
 from types import SimpleNamespace
 
@@ -271,6 +272,52 @@ def test_train_deterministic():
     assert h1 == h2
     for k, arr in f1.tensors.items():
         assert np.array_equal(arr, f2.tensors[k])
+
+
+# (TrainConfig overrides, GnnConfig overrides, aux feature width) of each
+# golden training; the last one's clip_norm is small enough that every step clips
+GOLDEN_TRAININGS = [
+    ({}, {}, 0),
+    ({"extraction_mode": "full_khop", "labeling": "constant"}, {}, 2),
+    ({}, {"attention_enabled": False}, 0),
+    ({}, {"jk_enabled": False}, 0),
+    ({}, {"aggregate_in_neighbors": True}, 0),
+    ({}, {"edge_dropout_rate": 0.0}, 0),
+    ({"neg_per_pos": 3}, {}, 0),
+    ({"clip_norm": 1e-3}, {}, 0),
+]
+GOLDEN_TRAINING_SHA256 = "5a5c5b7af05438cbf4ae1132b8bb6b925dd8ce10778fe06c49b2cbb08cd17754"
+
+
+def _training_digest() -> str:
+    """sha256 over the best and final checkpoint tensors (weights and Adam
+    moments) of the seeded toy trainings in GOLDEN_TRAININGS."""
+    digest = hashlib.sha256()
+    for seed, (tkw, gkw, aux_dim) in enumerate(GOLDEN_TRAININGS):
+        g, valid, tcfg, gcfg = toy_setup(epochs=3, seed=seed, **tkw)
+        aux = None
+        if aux_dim:
+            rng = np.random.default_rng([seed, aux_dim])
+            aux = {name: rng.standard_normal(aux_dim) for name in g.entity_names}
+        gcfg = dataclasses.replace(gcfg, input_dim=feature_dim(tcfg.hops, aux_dim), **gkw)
+        best, final, _ = train(g, valid, tcfg, gcfg, aux_features=aux)
+        for ck in (best, final):
+            for name in sorted(ck.tensors):
+                digest.update(name.encode())
+                digest.update(np.ascontiguousarray(ck.tensors[name], dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def test_seeded_trainings_reproduce_the_golden_digest():
+    """Training's floats, bit for bit: any change in the order of a sum in
+    forward, backward, clipping or Adam moves the hash.
+
+    Pinned with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
+    x86-64 with AVX-512).  Another BLAS, or another kernel chosen for another
+    CPU, may round a product differently and so move the hash without any
+    change to the code.
+    """
+    assert _training_digest() == GOLDEN_TRAINING_SHA256
 
 
 def test_resume_bit_exact(tmp_path):
