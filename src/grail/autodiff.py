@@ -6,6 +6,15 @@ a topological order) and accumulates adjoints, so fan-out is handled by
 summation and repeated backward calls add another full pass into the
 leaves' .grad.
 Inside no_grad() operations record nothing, for scoring without backward.
+
+The order of those sums is part of the contract, because float addition
+does not associate: a tensor's adjoint is the sum of its consumers'
+contributions taken from the most recently built consumer down, and a node
+that lists one parent more than once (a fused op that uses an input in
+several places) has those contributions added in the order it lists them.
+So a fused op whose vjp lists a parent once per use, in the reverse of the
+order in which an equivalent chain of these primitives would have made the
+uses, gets the chain's gradients bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +29,11 @@ import numpy as np
 _SERIAL = itertools.count()
 # False inside no_grad(); a context variable, so other threads keep recording
 _RECORDING: ContextVar[bool] = ContextVar("grail_autodiff_recording", default=True)
+
+
+def is_recording() -> bool:
+    """False inside no_grad(): tensors made now record no backward graph."""
+    return _RECORDING.get()
 
 
 @contextmanager
@@ -217,13 +231,18 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, a.data, 0.0), _parents=(a,), _vjp=vjp)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out_data = np.empty_like(x)
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The logistic function of an array, computed without overflow."""
+    out = np.empty_like(x)
     pos = x >= 0.0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])  # exp of a negative number never overflows
-    out_data[~pos] = ex / (1.0 + ex)
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out_data = logistic(a.data)
 
     def vjp(g: np.ndarray):
         return (g * out_data * (1.0 - out_data),)
@@ -257,7 +276,7 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a,), _vjp=vjp)
 
 
-def _scatter_rows(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+def scatter_rows(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     """(E, d) -> (n, d): row e is added into row index[e], in row order.
 
     The same sums, bit for bit, as np.add.at into zeros, but one bincount
@@ -282,7 +301,7 @@ def slice_rows(a: Tensor, indices) -> Tensor:
     out_data = a.data[idx]
 
     def vjp(g: np.ndarray):
-        return (_scatter_rows(g, idx, a.data.shape[0]),)
+        return (scatter_rows(g, idx, a.data.shape[0]),)
 
     return Tensor(out_data, _parents=(a,), _vjp=vjp)
 
@@ -299,7 +318,7 @@ def segment_sum(a: Tensor, index, n: int) -> Tensor:
     if idx.shape != (a.data.shape[0],):
         raise ValueError(f"segment_sum: index shape {idx.shape} != ({a.data.shape[0]},)")
     try:
-        out_data = _scatter_rows(a.data, idx, n)
+        out_data = scatter_rows(a.data, idx, n)
     except ValueError:
         raise ValueError(f"segment_sum: index out of range for {n} segments") from None
 

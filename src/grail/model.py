@@ -156,28 +156,9 @@ def params_from_named(named: dict[str, np.ndarray]) -> GnnParams:
     )
 
 
-def _snap_alpha(alpha: Tensor) -> Tensor:
-    """Verifier-mode gate hardening: push saturated sigmoid outputs to exact 0/1."""
-    data = alpha.data.copy()
-    data[data < 1e-6] = 0.0
-    data[data > 1.0 - 1e-6] = 1.0
-    return ad.constant(data)
-
-
-def _attention(
-    h_src: Tensor,
-    h_dst: Tensor,
-    rels: np.ndarray,
-    target_rels: np.ndarray,
-    lp: LayerParams,
-    attn_rel_emb: Tensor,
-) -> Tensor:
-    """(E, 1) gates from an MLP over [h_src, h_dst, e_r, e_rt], one row per edge."""
-    a_in = ad.concat(
-        [h_src, h_dst, ad.slice_rows(attn_rel_emb, rels), ad.slice_rows(attn_rel_emb, target_rels)]
-    )
-    s = ad.relu(ad.add(ad.matmul(a_in, lp.attn_w1), lp.attn_b1))
-    return ad.sigmoid(ad.add(ad.matmul(s, lp.attn_w2), lp.attn_b2))
+def _bias_grad(g: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The adjoint of a bias added to every row of g, summed as ad.add sums it."""
+    return np.sum(g).reshape(bias.shape) if bias.size == 1 else np.sum(g, axis=0)
 
 
 def layer_forward(
@@ -193,27 +174,149 @@ def layer_forward(
 
     By default node t pulls messages from its outgoing neighbors (edge
     (t, r, s) sends W_r h_s into t); with cfg.aggregate_in_neighbors messages
-    flow along edge direction instead (edge (s, r, t) sends into t).  Of
-    batch it reads only edges, edge_target_rels and num_nodes.
+    flow along edge direction instead (edge (s, r, t) sends into t).  W_r is
+    the relation's mixture of the layer's bases (R-GCN basis decomposition),
+    and with cfg.attention_enabled each message is gated by
+    sigmoid(MLP([h_s, h_t, e_r, e_rt])), e_rt embedding the relation that
+    the edge's member scores.  With snap_alpha (the rule verifier's mode)
+    saturated gates are pushed to exact 0/1 and held constant: gradients
+    still flow through the messages, not through the gates.  Of batch it
+    reads only edges, edge_target_rels and num_nodes.
+
+    The layer is one tape node with a hand-written vjp.  It returns the same
+    floats, forward and backward, as the chain of autodiff primitives it
+    replaces (kept in tests/oracles.py): it lists a parent once per use, in
+    the reverse of the order in which the chain made the uses, so backward
+    adds the contributions in the chain's order.  Outside no_grad it keeps
+    what its vjp needs; inside, it updates its buffers in place and frees
+    each as soon as it is spent.
     """
     lp = params.layers[layer]
-    heads, rels, tails = batch.edges.T
-    senders, receivers = (heads, tails) if cfg.aggregate_in_neighbors else (tails, heads)
-    h_src = ad.slice_rows(h_prev, senders)
-    msg = ad.basis_matmul(h_src, ad.slice_rows(lp.coeffs, rels), lp.bases)
-    if cfg.attention_enabled:
-        h_dst = ad.slice_rows(h_prev, receivers)
-        alpha = _attention(h_src, h_dst, rels, batch.edge_target_rels, lp, params.attn_rel_emb)
-        if snap_alpha:
-            alpha = _snap_alpha(alpha)
-        msg = ad.mul(msg, alpha)
+    h = h_prev.data
+    n = batch.num_nodes
+    edges = batch.edges
+    num_edges = len(edges)
+    num_rels = lp.coeffs.data.shape[0]
+    attention = cfg.attention_enabled
+    if h.shape[0] != n:
+        raise ValueError(f"layer_forward: {h.shape[0]} node states for {n} nodes")
+    heads, rels, tails = edges.T
+    # every gather below indexes with unchecked (clipping) takes, so the rows are checked here
+    if num_edges:
+        bad = edges.min() < 0 or heads.max() >= n or tails.max() >= n or rels.max() >= num_rels
+        if attention:
+            targets = batch.edge_target_rels
+            bad = bad or targets.min() < 0 or targets.max() >= num_rels
+        if bad:
+            raise ValueError(
+                f"layer_forward: edge index out of range for {n} nodes and {num_rels} relations"
+            )
+    mask = None
     if dropout_mask is not None:
         mask = np.asarray(dropout_mask, dtype=np.float64)
-        if mask.shape != (len(rels),):
-            raise ValueError(f"dropout mask shape {mask.shape} != ({len(rels)},)")
-        msg = ad.apply_mask(msg, mask.reshape(-1, 1))
-    agg = ad.segment_sum(msg, receivers, batch.num_nodes)
-    return ad.relu(ad.add(ad.matmul(h_prev, lp.w_self), agg))
+        if mask.shape != (num_edges,):
+            raise ValueError(f"dropout mask shape {mask.shape} != ({num_edges},)")
+        mask = mask.reshape(-1, 1)
+    recording = ad.is_recording()
+    senders, receivers = (heads, tails) if cfg.aggregate_in_neighbors else (tails, heads)
+    d_in = h.shape[1]
+
+    # the basis product: row e times its relation's mixture of the bases
+    h_src = np.take(h, senders, axis=0, mode="clip")
+    num_bases, d = len(lp.bases), lp.bases[0].data.shape[1]
+    flat = np.concatenate([b.data for b in lp.bases], axis=1)  # (d_in, B * d), columns [b, d]
+    coef = np.take(lp.coeffs.data, rels, axis=0, mode="clip")
+    proj = (h_src @ flat).reshape(num_edges, num_bases, d)
+    msg = np.einsum("eb,ebd->ed", coef, proj)
+    # inside no_grad every buffer is freed where the op chain freed it: a
+    # higher peak makes glibc grow and trim its heap, with page faults, per chunk
+    if not recording:
+        del coef, proj
+    gated = msg
+    if attention:
+        # the attention MLP's input [h_src, h_dst, e_r, e_rt]
+        emb = params.attn_rel_emb.data
+        d_attn = emb.shape[1]
+        a_in = np.empty((num_edges, 2 * d_in + 2 * d_attn))
+        cols = [0, d_in, 2 * d_in, 2 * d_in + d_attn, 2 * d_in + 2 * d_attn]
+        a_in[:, : cols[1]] = h_src
+        sources = [(h, receivers), (emb, rels), (emb, batch.edge_target_rels)]
+        for i, (table, idx) in enumerate(sources, start=1):
+            # a contiguous take, then a copy: a take into the strided block is several times slower
+            a_in[:, cols[i] : cols[i + 1]] = np.take(table, idx, axis=0, mode="clip")
+        hidden = a_in @ lp.attn_w1.data
+        if not recording:
+            del a_in
+        hidden += lp.attn_b1.data
+        keep_hidden = hidden > 0.0
+        np.putmask(hidden, ~keep_hidden, 0.0)
+        logit = hidden @ lp.attn_w2.data
+        if not recording:
+            del hidden, keep_hidden
+        logit += lp.attn_b2.data
+        alpha = ad.logistic(logit)
+        del logit
+        if snap_alpha:
+            alpha[alpha < 1e-6] = 0.0
+            alpha[alpha > 1.0 - 1e-6] = 1.0
+        # the vjp reads msg, so recording keeps it
+        gated = msg * alpha if recording else np.multiply(msg, alpha, out=msg)
+    if mask is not None:
+        gated *= mask
+    out = h @ lp.w_self.data
+    out += ad.scatter_rows(gated, receivers, n)
+    keep_out = out > 0.0
+    np.putmask(out, ~keep_out, 0.0)
+    if not recording:
+        return Tensor(out)
+
+    track_h = h_prev.requires_grad
+    through_gates = attention and not snap_alpha
+
+    def vjp(g: np.ndarray):
+        g = g * keep_out
+        g_self = g @ lp.w_self.data.T if track_h else None
+        g_msg = np.take(g, receivers, axis=0, mode="clip")
+        if mask is not None:
+            g_msg = g_msg * mask
+        g_basis = g_msg * alpha if attention else g_msg
+        attn_grads = ()
+        if through_gates:
+            g_alpha = g_msg * msg
+            if d != 1:  # as ad.mul: with one message column the gate is not broadcast
+                g_alpha = np.sum(g_alpha, axis=1, keepdims=True)
+            g_logit = g_alpha * alpha * (1.0 - alpha)
+            g_hidden = (g_logit @ lp.attn_w2.data.T) * keep_hidden
+            g_a_in = g_hidden @ lp.attn_w1.data.T
+            g_dst = ad.scatter_rows(g_a_in[:, cols[1] : cols[2]], receivers, n) if track_h else None
+            g_rel = ad.scatter_rows(g_a_in[:, cols[2] : cols[3]], rels, emb.shape[0])
+            g_tgt = ad.scatter_rows(g_a_in[:, cols[3] :], batch.edge_target_rels, emb.shape[0])
+            attn_grads = (
+                g_tgt, g_rel,
+                a_in.T @ g_hidden, _bias_grad(g_hidden, lp.attn_b1.data),
+                hidden.T @ g_logit, _bias_grad(g_logit, lp.attn_b2.data),
+            )
+        g_proj = (coef[:, :, None] * g_basis[:, None, :]).reshape(num_edges, num_bases * d)
+        g_coef = np.einsum("ed,ebd->eb", g_basis, proj)
+        g_flat = (h_src.T @ g_proj).reshape(d_in, num_bases, d)
+        g_src = None
+        if track_h:
+            g_src = g_proj @ flat.T
+            if through_gates:
+                g_src = g_a_in[:, : cols[1]] + g_src
+            g_src = ad.scatter_rows(g_src, senders, n)
+        h_grads = (g_self, g_dst, g_src) if through_gates else (g_self, g_src)
+        g_bases = tuple(g_flat[:, b, :] for b in range(num_bases))
+        return (*h_grads, h.T @ g, *g_bases, ad.scatter_rows(g_coef, rels, num_rels), *attn_grads)
+
+    # h_prev once per use: the self loop, the receivers' gather, the senders' gather
+    parents = [h_prev, h_prev, h_prev] if through_gates else [h_prev, h_prev]
+    parents += [lp.w_self, *lp.bases, lp.coeffs]
+    if through_gates:
+        # attn_rel_emb once per use: the target relations' gather, then the edges'
+        parents += [params.attn_rel_emb, params.attn_rel_emb,
+                    lp.attn_w1, lp.attn_b1, lp.attn_w2, lp.attn_b2]
+    return Tensor(out, _parents=tuple(parents), _vjp=vjp)
 
 
 def sample_edge_masks(

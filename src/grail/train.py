@@ -97,10 +97,35 @@ class TrainConfig:
             raise ValueError(f"unknown extraction mode {self.extraction_mode!r}")
 
 
-def hinge_loss(pos_score: Tensor, neg_score: Tensor, margin: float) -> Tensor:
-    """max(0, neg - pos + margin)."""
-    diff = ad.add(neg_score, ad.scale(pos_score, -1.0))
-    return ad.relu(ad.add(diff, ad.constant(np.float64(margin))))
+def hinge_loss(scores: Tensor, pos_rows, neg_rows, margin: float) -> Tensor:
+    """The summed margin loss sum_i max(0, scores[neg_i] - scores[pos_i] + margin).
+
+    scores is a column of scores, one row per scored member; pos_rows[i]
+    and neg_rows[i] name the rows of pair i, and a row may appear in many
+    pairs.  One tape node: backward scatters the negatives' adjoint into
+    scores before the positives', the order in which the chain of gathers
+    it replaces added them.
+    """
+    pos_rows = np.asarray(pos_rows, dtype=np.intp)
+    neg_rows = np.asarray(neg_rows, dtype=np.intp)
+    num_rows = scores.data.shape[0]
+    if scores.data.ndim != 2 or pos_rows.ndim != 1 or pos_rows.shape != neg_rows.shape:
+        raise ValueError(
+            f"hinge_loss: need 2-D scores and two row lists of one length, got shapes "
+            f"{scores.data.shape}, {pos_rows.shape} and {neg_rows.shape}"
+        )
+    rows = np.concatenate([pos_rows, neg_rows])
+    if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+        raise ValueError(f"hinge_loss: row index out of range for {num_rows} scores")
+    hinge = scores.data[neg_rows] - scores.data[pos_rows] + margin
+    keep = hinge > 0.0
+
+    def vjp(g: np.ndarray):
+        g_hinge = np.broadcast_to(g, hinge.shape).copy() * keep
+        from_neg = ad.scatter_rows(g_hinge, neg_rows, num_rows)
+        return (from_neg + ad.scatter_rows(-g_hinge, pos_rows, num_rows),)
+
+    return Tensor(np.sum(np.where(keep, hinge, 0.0)), _parents=(scores,), _vjp=vjp)
 
 
 @dataclass
@@ -566,9 +591,7 @@ def train(
             masks = sample_edge_masks(union, gcfg, rng_drop)
             scores = score_triplet(union, params, gcfg, dropout_masks=masks)
             rows = np.arange(len(union.member_sizes)).reshape(-1, n + 1)  # a positive, then its negatives
-            pos_scores = ad.slice_rows(scores, np.repeat(rows[:, 0], n))
-            neg_scores = ad.slice_rows(scores, rows[:, 1:].ravel())
-            loss = ad.sum_all(hinge_loss(pos_scores, neg_scores, tcfg.margin))
+            loss = hinge_loss(scores, np.repeat(rows[:, 0], n), rows[:, 1:].ravel(), tcfg.margin)
             loss.backward()
             clip_gradients(named_params, tcfg.clip_norm)
             adam_step(named_params, adam, tcfg.lr, l2=tcfg.l2)

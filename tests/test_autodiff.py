@@ -314,3 +314,17 @@ def test_parents_fed_one_adjoint_get_separate_gradient_buffers():
         assert not any(np.shares_memory(x, y) for y in grads[i + 1 :])
     for leaf in (a, b, c, d):
         assert np.array_equal(leaf.grad, np.full((2, 3), 2.0))
+
+
+def test_a_parent_listed_twice_gets_its_contributions_added_in_listed_order():
+    # a fused op lists an input once per use; x's adjoint is the later
+    # consumer's 1e16, then the fused node's contributions in the order it
+    # lists them: (1e16 + 1) + -1e16 is 0.0, (1e16 + -1e16) + 1 is 1.0
+    for listed, want in [((1.0, -1e16), 0.0), ((-1e16, 1.0), 1.0)]:
+        a = parameter(np.zeros((1, 1)))
+        x = scale(a, 1.0)
+        fused = Tensor(x.data.copy(), _parents=(x, x),
+                       _vjp=lambda g, listed=listed: tuple(g * c for c in listed))
+        later = scale(x, 1e16)
+        add(sum_all(fused), sum_all(later)).backward()
+        assert a.grad.tobytes() == np.array([[want]]).tobytes(), listed

@@ -98,8 +98,7 @@ def test_batched_hinge_loss_gradients_check_out():
 
     def loss():
         scores = score_triplet(union, params, cfg, dropout_masks=union_masks)
-        pos, neg = ad.slice_rows(scores, [0, 2, 4]), ad.slice_rows(scores, [1, 3, 5])
-        return ad.sum_all(hinge_loss(pos, neg, 10.0))
+        return hinge_loss(scores, [0, 2, 4], [1, 3, 5], 10.0)
 
     err = grad_check(loss, list(params.named_tensors().values()), eps=1e-4,
                      max_coords_per_param=6, rng=np.random.default_rng(0))

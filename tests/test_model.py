@@ -1,10 +1,12 @@
 """Gated relational message passing: init, forward agreement, dropout, readout."""
 
+from contextlib import nullcontext
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dataclasses import replace
-
+import grail.autodiff as ad
 from grail.autodiff import grad_check
 from grail.kg import load_triples
 from grail.model import (
@@ -17,7 +19,7 @@ from grail.model import (
 )
 from grail.subgraph import extract_enclosing, feature_dim, join, label_nodes
 
-from oracles import attention_weight, dense_gnn_reference, random_kg
+from oracles import attention_weight, dense_gnn_reference, layer_forward_chain, random_kg
 
 
 def small_cfg(**kw):
@@ -258,6 +260,73 @@ def test_layer_forward_mask_shape_error():
     with pytest.raises(ValueError, match="dropout mask shape"):
         layer_forward(sub, ad.constant(sub.features), 0, p, cfg,
                       dropout_mask=np.ones(len(sub.edges) + 1))
+
+
+def _run_layer(fn, batch, h_prev, layer, params, cfg, mask, snap, weights):
+    """fn's output data, then the .grad of every parameter and of h_prev after
+    backward from a loss that also reads h_prev (so its adjoint already holds a
+    contribution when the layer's arrive)."""
+    named = list(params.named_tensors().values())
+    for t in named + [h_prev]:
+        t.zero_grad()
+    out = fn(batch, h_prev, layer, params, cfg, dropout_mask=mask, snap_alpha=snap)
+    if ad.is_recording():
+        first = ad.sum_all(ad.mul(out, ad.constant(weights[0])))
+        ad.add(first, ad.sum_all(ad.mul(h_prev, ad.constant(weights[1])))).backward()
+    return out.data, [t.grad.copy() for t in named + [h_prev]]
+
+
+def test_fused_layer_equals_the_op_chain_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for trial in range(64):
+        attention, inward, dropout, snap, taped = ((trial >> bit) & 1 == 1 for bit in range(5))
+        cfg = small_cfg(hidden_dim=int(rng.choice([1, 3, 5])), num_bases=int(rng.integers(1, 4)),
+                        attention_enabled=attention, aggregate_in_neighbors=inward,
+                        edge_dropout_rate=0.4 if dropout else 0.0)
+        params = init_params(cfg, 3, rng)
+        if snap:
+            for lp in params.layers:
+                lp.attn_w2.data *= 300.0  # saturate some gates, so that snapping moves them
+        batch = join([random_labeled(rng) for _ in range(int(rng.integers(1, 6)))])
+        layer = 1 if taped else 0
+        if taped:
+            h_prev = ad.parameter(rng.standard_normal((batch.num_nodes, cfg.hidden_dim)))
+        else:
+            h_prev = ad.constant(batch.features)
+        before = h_prev.data.copy()
+        mask = sample_edge_masks(batch, cfg, rng)[layer] if dropout else None
+        weights = (rng.standard_normal((batch.num_nodes, cfg.hidden_dim)),
+                   rng.standard_normal(h_prev.shape))
+        for recording in (True, False):
+            with nullcontext() if recording else ad.no_grad():
+                want, want_grads = _run_layer(layer_forward_chain, batch, h_prev, layer,
+                                              params, cfg, mask, snap, weights)
+                got, got_grads = _run_layer(layer_forward, batch, h_prev, layer,
+                                            params, cfg, mask, snap, weights)
+            assert np.array_equal(got, want), (trial, recording)
+            for g, w in zip(got_grads, want_grads):
+                assert np.array_equal(g, w), (trial, recording)
+            assert any(np.any(w != 0.0) for w in want_grads) == recording, trial
+            assert np.array_equal(h_prev.data, before), trial
+
+
+@pytest.mark.parametrize("recording", [True, False])
+def test_layer_forward_rejects_an_edge_index_out_of_range(recording):
+    rng = np.random.default_rng(14)
+    sub = random_labeled(rng)
+    cfg = small_cfg()
+    p = init_params(cfg, 3, rng)
+    h = ad.constant(sub.features)
+    for col, value in [(0, -1), (2, -1), (1, -1), (0, sub.num_nodes), (2, sub.num_nodes), (1, 3)]:
+        edges = sub.edges.copy()
+        edges[0, col] = value
+        with nullcontext() if recording else ad.no_grad():
+            with pytest.raises(ValueError, match="edge index out of range"):
+                layer_forward(replace(sub, edges=edges), h, 0, p, cfg)
+    targets = sub.edge_target_rels.copy()
+    targets[-1] = -1
+    with pytest.raises(ValueError, match="edge index out of range"):
+        layer_forward(replace(sub, edge_target_rels=targets), h, 0, p, cfg)
 
 
 def test_score_triplet_errors():

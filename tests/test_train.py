@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from grail.autodiff import constant, parameter, sum_all
+from grail.autodiff import constant, parameter
 from grail.cli import main
 from grail.kg import from_parts, load_triples
 from grail.model import GnnConfig
@@ -67,19 +67,20 @@ def test_train_config_validation():
 
 def test_hinge_loss_values():
     def val(pos, neg, margin):
-        return hinge_loss(constant([[pos]]), constant([[neg]]), margin).item()
+        return hinge_loss(constant([[pos], [neg]]), [0], [1], margin).item()
 
     assert val(5.0, 1.0, 2.0) == 0.0       # pos clears neg by more than the margin
     assert val(1.0, 5.0, 2.0) == 6.0       # neg - pos + margin
     assert val(3.0, 1.0, 2.0) == 0.0       # exactly at the margin
     assert val(3.0, 2.0, 2.0) == 1.0
+    with pytest.raises(ValueError, match="out of range"):
+        hinge_loss(constant([[1.0], [2.0]]), [0], [-1], 2.0)
 
 
 def test_hinge_loss_gradient_direction():
-    pos = parameter(np.array([[1.0]]))
-    neg = parameter(np.array([[5.0]]))
-    sum_all(hinge_loss(pos, neg, 2.0)).backward()
-    assert pos.grad[0, 0] == -1.0 and neg.grad[0, 0] == 1.0
+    scores = parameter(np.array([[1.0], [5.0]]))
+    hinge_loss(scores, [0], [1], 2.0).backward()
+    assert scores.grad[0, 0] == -1.0 and scores.grad[1, 0] == 1.0
 
 
 def test_adam_matches_reference_trajectory():
