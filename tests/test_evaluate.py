@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -260,6 +261,56 @@ def test_records_are_slotted_and_read_and_write_by_key():
             rec[bad]
         with pytest.raises(KeyError):
             rec[bad] = 0
+
+
+# (entities, edge draws, test edges, negatives per positive, extraction mode,
+# self-loops allowed) of each golden evaluation; on 3 and 4 entities most
+# corrupting draws hit an end of the positive and are drawn again
+GOLDEN_EVALUATIONS = [
+    (3, 8, 3, 7, "enclosing", False),
+    (4, 12, 4, 20, "enclosing", True),
+    (5, 16, 5, 50, "full_khop", False),
+    (12, 50, 8, 50, "enclosing", True),
+    (30, 120, 10, 13, "full_khop", False),
+]
+GOLDEN_EVALUATION_SHA256 = "a93277118486e7858f62debe45323d60596d558de88416362b518dbd732e4ded"
+
+
+def _evaluation_digest() -> str:
+    """sha256 over the metrics and every record (names, label, score bits,
+    rank) of the seeded evaluations in GOLDEN_EVALUATIONS, each scored by the
+    best checkpoint of one seeded toy training."""
+    g = random_kg(np.random.default_rng(0), 12, 2, 50)
+    tcfg = TrainConfig(margin=2.0, lr=0.05, l2=1e-4, clip_norm=5.0, epochs=2,
+                       eval_every=1, batch_size=8, hops=2, seed=0)
+    gcfg = GnnConfig(num_layers=2, hidden_dim=4, num_bases=2, edge_dropout_rate=0.2,
+                     input_dim=feature_dim(2))
+    best, _, _ = train(g, g.triples[:3], tcfg, gcfg)
+    scorer = scorer_from_checkpoint(best)
+    digest = hashlib.sha256()
+    for seed, (n, draws, tests, negs, mode, loops) in enumerate(GOLDEN_EVALUATIONS):
+        g_test = random_kg(np.random.default_rng([seed, 1]), n, 2, draws, allow_self_loops=loops)
+        scorer.mode = mode
+        report = evaluate(scorer, g_test, g_test.triples[:tests], num_negatives=negs, seed=seed)
+        digest.update(np.array([report.auc_pr, report.hits_at_10]).tobytes())
+        digest.update(np.array([report.num_test, report.skipped_self_loops]).tobytes())
+        for rec in report.records:
+            rank = -1 if rec["rank"] is None else rec["rank"]
+            digest.update(f"{rec['head']}\t{rec['rel']}\t{rec['tail']}\t{rec['label']}\t{rank}".encode())
+            digest.update(np.float64(rec["score"]).tobytes())
+    return digest.hexdigest()
+
+
+def test_seeded_evaluations_reproduce_the_golden_digest():
+    """Evaluation's negatives and scores, bit for bit: any change in how a
+    corruption is drawn, or in the order of a sum in scoring, moves the hash.
+
+    Pinned with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
+    x86-64 with AVX-512).  Another BLAS, or another kernel chosen for another
+    CPU, may round a product differently and so move the hash without any
+    change to the code.
+    """
+    assert _evaluation_digest() == GOLDEN_EVALUATION_SHA256
 
 
 def test_evaluate_leak_check_fires_when_test_edges_stay_in_the_graph(monkeypatch):
