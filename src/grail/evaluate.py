@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .kg import KnowledgeGraph, atomic_open, without_triples
 from .model import GnnConfig, GnnParams, score_triplet
-from .subgraph import SubgraphBatch, bounded_chunks, extract_union, feature_dim, label_nodes
+from .subgraph import SubgraphBatch, bounded_unions, feature_dim, label_nodes
 
 
 def auc_pr(pos_scores, neg_scores) -> float:
@@ -60,22 +60,66 @@ def sample_negative(
     Draws are rejected while the corruption reproduces the positive itself or
     produces a self-loop candidate (self-loops cannot be scored, since the two
     target nodes must differ).  The corruption may coincide with another true
-    triple: sampling is unfiltered.
+    triple: sampling is unfiltered.  The coin is one rng.integers(2) draw and
+    each entity one rng.integers(num_entities) draw, in that order.
     """
-    h, r, t = positive
-    g.check_entity(h)
-    g.check_entity(t)
-    g.check_relation(r)
+    return sample_negatives(g, [positive], rng)[0]
+
+
+# negatives drawn per array draw; a rejection replays its block up to the
+# rejected draw, so a longer block replays more
+_NEGATIVE_BLOCK = 512
+
+
+def sample_negatives(
+    g: KnowledgeGraph, positives, rng: np.random.Generator
+) -> list[tuple[int, int, int]]:
+    """[sample_negative(g, p, rng) for p in positives], drawn in bulk.
+
+    Returns the same negatives, and leaves rng in the same state, as that
+    loop.  A block of negatives is one rng.integers call whose array of
+    upper bounds (2, num_entities, 2, num_entities, ...) draws the coin and
+    the first entity of each negative in the loop's order, element by element
+    with the scalar calls' bounded draw.  A drawn entity is rejected exactly
+    when it is an end of its positive; at the first rejection in a block the
+    generator is rewound to the block's start, the draws are replayed up to
+    that entity, the entity is drawn again one at a time until accepted, and
+    the next block starts after that negative.  The positives are checked
+    first, and the first bad one raises sample_negative's message.
+    """
+    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
+    heads, rels, tails = pos.T
     n = g.num_entities
-    if n - len({h, t}) < 1:
+    bad = (heads < 0) | (heads >= n) | (tails < 0) | (tails >= n)
+    bad |= (rels < 0) | (rels >= g.num_relations) | (n - 1 - (heads != tails) < 1)
+    if bad.any():
+        h, r, t = pos[bad.argmax()].tolist()
+        g.check_entity(h)
+        g.check_entity(t)
+        g.check_relation(r)
         raise ValueError(f"too few entities ({n}) to corrupt triple ({h},{r},{t})")
-    side = int(rng.integers(2))
-    while True:
-        e = int(rng.integers(n))
-        cand = (e, r, t) if side == 0 else (h, r, e)
-        if cand == positive or cand[0] == cand[2]:
-            continue
-        return cand
+    highs = np.tile(np.array([2, n], dtype=np.int64), min(_NEGATIVE_BLOCK, len(pos)))
+    draws = np.empty((len(pos), 2), dtype=np.int64)  # (side, entity) per negative
+    at = 0
+    while at < len(pos):
+        size = min(_NEGATIVE_BLOCK, len(pos) - at)
+        state = rng.bit_generator.state
+        block = rng.integers(0, highs[: 2 * size]).reshape(-1, 2)
+        h, t = heads[at : at + size], tails[at : at + size]
+        rejected = (block[:, 1] == h) | (block[:, 1] == t)
+        if rejected.any():
+            size = int(rejected.argmax()) + 1
+            rng.bit_generator.state = state
+            rng.integers(0, highs[: 2 * size])
+            ends = (h[size - 1], t[size - 1])
+            while block[size - 1, 1] in ends:
+                block[size - 1, 1] = rng.integers(n)
+        draws[at : at + size] = block[:size]
+        at += size
+    on_head = draws[:, 0] == 0
+    ents = draws[:, 1]
+    negs = np.stack([np.where(on_head, ents, heads), rels, np.where(on_head, tails, ents)])
+    return list(zip(*negs.tolist()))
 
 
 def rank_from_scores(pos_score: float, neg_scores) -> int:
@@ -139,12 +183,12 @@ class GrailScorer:
     ) -> list[float]:
         """Scores of candidates (h, r, t) of g, in order.
 
-        The candidates are scored in the consecutive chunks of
-        bounded_chunks, one union each, so a call's memory is bounded by
-        NODE_BUDGET however many candidates it holds.  held_out holds id
-        triples of g that must not reach message passing: an AssertionError
-        names the first one found in a candidate's subgraph other than as
-        the candidate edge itself.
+        The candidates are scored in the consecutive node-bounded unions of
+        bounded_unions, so a call's memory is bounded by NODE_BUDGET however
+        many candidates it holds.  held_out holds id triples of g that must
+        not reach message passing: an AssertionError names the first one
+        found in a candidate's subgraph other than as the candidate edge
+        itself.
         """
         unknown = [n for n in g.relation_names if n not in self.relation_ids]
         if unknown:
@@ -154,8 +198,7 @@ class GrailScorer:
         rel_map = np.array([self.relation_ids[n] for n in g.relation_names], dtype=np.intp)
         held_keys = _held_out_keys(g, held_out)
         scores = []
-        for part in bounded_chunks(g, candidates, self.hops, self.mode):
-            batch = extract_union(g, part, self.hops, self.mode)
+        for batch in bounded_unions(g, candidates, self.hops, self.mode):
             batch = label_nodes(batch, self.labeling, self._aux_by_id(g, batch.nodes))
             _check_held_out(g, batch, held_keys)
             batch.edges[:, 1] = rel_map[batch.edges[:, 1]]
@@ -261,12 +304,12 @@ def evaluate(
 
     AUC-PR uses one sampled corruption per positive; Hits@10 ranks each
     positive among num_negatives corruptions.  All negatives are drawn up
-    front from seeded streams, so results are reproducible bit-for-bit for a
-    given seed.  scorer(graph, candidates, held_out) returns one score per
-    candidate; it is called once per round, with every scoreable test
-    edge's [positive, AUC negative, *rank negatives] laid end to end, and
-    held_out the test edges, which the message graph keeps out of every
-    subgraph.
+    front from two seeded streams, each in one sample_negatives call, so
+    results are reproducible bit-for-bit for a given seed.
+    scorer(graph, candidates, held_out) returns one score per candidate; it
+    is called once per round, with every scoreable test edge's [positive,
+    AUC negative, *rank negatives] laid end to end, and held_out the test
+    edges, which the message graph keeps out of every subgraph.
     """
     if not test_edges:
         raise ValueError("no test edges to evaluate")
@@ -279,14 +322,11 @@ def evaluate(
         raise ValueError("all test edges are self-loops; nothing can be scored")
     rng_auc = np.random.default_rng([seed, _AUC_STREAM])
     rng_rank = np.random.default_rng([seed, _RANK_STREAM])
-    auc_negs = [sample_negative(msg_graph, trip, rng_auc) for trip in scoreable]
-    rank_negs = [
-        [sample_negative(msg_graph, trip, rng_rank) for _ in range(num_negatives)]
-        for trip in scoreable
-    ]
+    auc_negs = sample_negatives(msg_graph, scoreable, rng_auc)
+    rank_negs = sample_negatives(msg_graph, np.repeat(scoreable, num_negatives, axis=0), rng_rank)
     candidates = []
-    for trip, auc_neg, negs in zip(scoreable, auc_negs, rank_negs):
-        candidates += [trip, auc_neg, *negs]
+    for i, (trip, auc_neg) in enumerate(zip(scoreable, auc_negs)):
+        candidates += [trip, auc_neg, *rank_negs[i * num_negatives : (i + 1) * num_negatives]]
     scores = scorer(msg_graph, candidates, set(test_edges))
     if len(scores) != len(candidates):
         raise ValueError(f"scorer returned {len(scores)} scores for {len(candidates)} candidates")

@@ -13,7 +13,7 @@ from .kg import KnowledgeGraph, _firsts, _ranges, _starts, khop_nodes  # noqa: F
 EXTRACTION_MODES = ("enclosing", "full_khop")
 LABEL_SCHEMES = ("double_radius", "constant")
 
-# a chunk of candidates (bounded_chunks) closes once its members' node bounds sum to this
+# a chunk of candidates (bounded_unions) closes once its members' node bounds sum to this
 NODE_BUDGET = 20_000
 
 
@@ -115,11 +115,26 @@ def extract_union(
     in enclosing mode), the pruning is one mask, and each candidate edge
     that is not induced is appended after its member's edges.
     """
-    us, rts, vs = _candidate_array(g, candidates, k, mode).T
+    cands = _candidate_array(g, candidates, k, mode)
+    us, _, vs = cands.T
+    return _union(g, cands, g.khop(us.tolist(), k), g.khop(vs.tolist(), k), k, mode)
+
+
+def _union(
+    g: KnowledgeGraph,
+    cands: np.ndarray,
+    near_u: list[np.ndarray],
+    near_v: list[np.ndarray],
+    k: int,
+    mode: str,
+) -> SubgraphBatch:
+    """extract_union of the checked (C, 3) candidates, given the k-hop sets
+    g.khop finds for their u's and v's."""
+    us, rts, vs = cands.T
     # one sort of the (member, node) keys near each u and each v (every sort
     # here is stable, the sort code auc_pr loads anyway): a key near both is a pair
     n = g.num_entities
-    near = g.khop(us.tolist(), k) + g.khop(vs.tolist(), k)
+    near = near_u + near_v
     keys = np.repeat(np.tile(np.arange(len(us)) * n, 2), list(map(len, near)))
     keys = np.sort(keys + np.concatenate(near), kind="stable")
     keys = keys[_firsts(keys)] if mode == "full_khop" else keys[1:][keys[1:] == keys[:-1]]
@@ -238,30 +253,38 @@ def node_bounds(
     member is u, v and nodes of both sets, and |N_k(u)| + |N_k(v)| for
     full_khop, whose member is the union of the two sets."""
     us, _, vs = _candidate_array(g, candidates, k, mode).T
-    near_u = np.fromiter(map(len, g.khop(us.tolist(), k)), np.intp, len(us))
-    near_v = np.fromiter(map(len, g.khop(vs.tolist(), k)), np.intp, len(vs))
-    return np.minimum(near_u, near_v) + 2 if mode == "enclosing" else near_u + near_v
+    return _bounds(g.khop(us.tolist(), k), g.khop(vs.tolist(), k), mode)
 
 
-def bounded_chunks(
+def _bounds(near_u: list[np.ndarray], near_v: list[np.ndarray], mode: str) -> np.ndarray:
+    size_u = np.fromiter(map(len, near_u), np.intp, len(near_u))
+    size_v = np.fromiter(map(len, near_v), np.intp, len(near_v))
+    return np.minimum(size_u, size_v) + 2 if mode == "enclosing" else size_u + size_v
+
+
+def bounded_unions(
     g: KnowledgeGraph,
     candidates,
     k: int,
     mode: str = "enclosing",
-) -> list[np.ndarray]:
-    """candidates as consecutive (C_i, 3) intp arrays, in order, each closed
-    once its node_bounds sum to NODE_BUDGET: a chunk's bounds sum to at most
-    NODE_BUDGET, except that a candidate whose bound alone exceeds it is a
-    chunk of its own.  Extracting chunk by chunk bounds the size of each
-    union before any of it is built."""
+):
+    """extract_union(g, chunk, k, mode) of consecutive chunks of candidates,
+    in order, one union at a time.  A chunk closes once its node_bounds sum
+    to NODE_BUDGET: a chunk's bounds sum to at most NODE_BUDGET, except that
+    a candidate whose bound alone exceeds it is a chunk of its own, so the
+    size of each union is bounded before any of it is built.  Each
+    candidate's k-hop sets are read from g.khop once, for its bound and for
+    its extraction."""
     cands = _candidate_array(g, candidates, k, mode)
-    total = np.cumsum(node_bounds(g, cands, k, mode))
-    ends, done = [], 0
-    while done < len(total):
-        below = total[done - 1] if done else 0
-        done = max(done + 1, int(np.searchsorted(total, below + NODE_BUDGET, side="right")))
-        ends.append(done)
-    return np.split(cands, ends[:-1])
+    us, _, vs = cands.T
+    near_u, near_v = g.khop(us.tolist(), k), g.khop(vs.tolist(), k)
+    total = np.cumsum(_bounds(near_u, near_v, mode))
+    lo = 0
+    while lo < len(total):
+        below = total[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(total, below + NODE_BUDGET, side="right")))
+        yield _union(g, cands[lo:hi], near_u[lo:hi], near_v[lo:hi], k, mode)
+        lo = hi
 
 
 def _levels(

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .evaluate import GrailScorer, auc_pr, sample_negative
+from .evaluate import GrailScorer, auc_pr, sample_negatives
 from .kg import KnowledgeGraph, atomic_open
 from .model import (
     GnnConfig,
@@ -447,11 +447,12 @@ def _minibatches(
     Minibatch i is order[i * batch_size : (i + 1) * batch_size], sorted; its
     union holds each positive, then its neg_per_pos negatives drawn from
     rng_neg.  Whole minibatches are grouped in order until a group holds at
-    least _GROUP_NEGATIVES negatives, and each group's negatives are drawn,
-    extracted and labeled as one union, so the cost fixed per extraction is
-    paid once per group while its memory stays bounded.  Each minibatch is
-    then one gather from its group: the same members, in the same order,
-    as one extraction per minibatch would give.
+    least _GROUP_NEGATIVES negatives, and each group's negatives are drawn
+    in one sample_negatives call and extracted and labeled as one union, so
+    the cost fixed per draw and per extraction is paid once per group while
+    its memory stays bounded.  Each minibatch is then one gather from its
+    group: the same members, in the same order, as one extraction per
+    minibatch would give.
     """
     size, n = tcfg.batch_size, tcfg.neg_per_pos
     batches = [np.sort(order[lo : lo + size]) for lo in range(0, len(order), size)]
@@ -459,8 +460,8 @@ def _minibatches(
     for at in range(0, len(batches), per_group):
         group = batches[at : at + per_group]
         group_pos = np.concatenate(group)
-        negs = [sample_negative(g_train, positives[idx], rng_neg)
-                for idx in group_pos.tolist() for _ in range(n)]
+        negs = sample_negatives(g_train, [positives[idx] for idx in group_pos.tolist()
+                                          for _ in range(n)], rng_neg)
         neg_union = extract_union(g_train, negs, tcfg.hops, tcfg.extraction_mode)
         union = join([take_members(pos_union, group_pos),
                       label_nodes(neg_union, tcfg.labeling, aux_ids)])
@@ -561,7 +562,7 @@ def train(
 
     # validation positives/negatives and their subgraphs are fixed for the run
     rng_valid = np.random.default_rng([seed, _S_VALID])
-    valid_negs = [sample_negative(g_train, trip, rng_valid) for trip in valid_pos]
+    valid_negs = sample_negatives(g_train, valid_pos, rng_valid)
     valid_pos_batch = labeled_union(valid_pos)
     valid_neg_batch = labeled_union(valid_negs)
 

@@ -2,15 +2,15 @@
 against.  Everything here is deliberately naive: exhaustive enumeration and
 dense loops, no shared code with the package internals.  The exceptions
 are minibatches_reference, which builds minibatches the simple way from the
-public extraction and sampling functions, so that training's grouped
-construction can be compared with it, and layer_forward_chain, the GNN
-layer as a chain of autodiff primitives, against which the fused layer's
-floats and gradients are compared bit for bit."""
+public extraction functions and sample_negative_reference, so that
+training's grouped construction can be compared with it, and
+layer_forward_chain, the GNN layer as a chain of autodiff primitives,
+against which the fused layer's floats and gradients are compared bit for
+bit."""
 
 import numpy as np
 
 import grail.autodiff as ad
-from grail.evaluate import sample_negative
 from grail.kg import KnowledgeGraph, from_parts
 from grail.subgraph import extract_union, join, label_nodes, take_members
 
@@ -242,6 +242,25 @@ def adam_reference(grads, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8, theta0=0.0,
     return out
 
 
+def sample_negative_reference(g, positive, rng):
+    """Corrupt head or tail (fair coin) with a uniform entity, one scalar draw
+    at a time: grail.evaluate.sample_negative before it drew in bulk."""
+    h, r, t = positive
+    g.check_entity(h)
+    g.check_entity(t)
+    g.check_relation(r)
+    n = g.num_entities
+    if n - len({h, t}) < 1:
+        raise ValueError(f"too few entities ({n}) to corrupt triple ({h},{r},{t})")
+    side = int(rng.integers(2))
+    while True:
+        e = int(rng.integers(n))
+        cand = (e, r, t) if side == 0 else (h, r, e)
+        if cand == positive or cand[0] == cand[2]:
+            continue
+        return cand
+
+
 def minibatches_reference(g, positives, pos_union, order, tcfg, rng_neg, aux_ids):
     """One epoch's (positive indices, labeled union) per minibatch, built one
     minibatch at a time: its negatives drawn and extracted as one union, joined
@@ -250,7 +269,7 @@ def minibatches_reference(g, positives, pos_union, order, tcfg, rng_neg, aux_ids
     n = tcfg.neg_per_pos
     for lo in range(0, len(order), tcfg.batch_size):
         batch = np.sort(order[lo : lo + tcfg.batch_size])
-        negs = [sample_negative(g, positives[idx], rng_neg)
+        negs = [sample_negative_reference(g, positives[idx], rng_neg)
                 for idx in batch.tolist() for _ in range(n)]
         neg_union = label_nodes(extract_union(g, negs, tcfg.hops, tcfg.extraction_mode),
                                 tcfg.labeling, aux_ids)

@@ -18,7 +18,7 @@ from grail.evaluate import GrailScorer, evaluate
 from grail.model import GnnConfig, init_params, sample_edge_masks, score_triplet
 from grail.subgraph import (
     EXTRACTION_MODES,
-    bounded_chunks,
+    bounded_unions,
     extract_enclosing,
     feature_dim,
     join,
@@ -197,9 +197,9 @@ def test_train_and_evaluate_score_through_the_traced_entry_points(monkeypatch):
         # one scorer call per round: every test edge's positive, AUC negative and rank negatives
         [(msg, candidates)] = rounds
         assert len(candidates) == len(test) * (2 + 4)
-        # then one untaped call per node-bounded chunk
-        chunks = bounded_chunks(msg, candidates, tcfg.hops, tcfg.extraction_mode)
-        assert calls == [(cfg.num_layers, len(part), False) for part in chunks]
+        # then one untaped call per node-bounded union
+        chunks = list(bounded_unions(msg, candidates, tcfg.hops, tcfg.extraction_mode))
+        assert calls == [(cfg.num_layers, len(part.member_sizes), False) for part in chunks]
     assert len(chunks) > 1
 
 

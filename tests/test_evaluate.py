@@ -22,6 +22,7 @@ from grail.evaluate import (
     parse_score_file,
     rank_from_scores,
     sample_negative,
+    sample_negatives,
     write_labels_file,
     write_report,
     write_scores_file,
@@ -32,7 +33,7 @@ from grail.model import GnnConfig, init_params, score_triplet
 from grail.subgraph import extract_enclosing, feature_dim, label_nodes
 from grail.train import TrainConfig, model_from_checkpoint, scorer_from_checkpoint, train
 
-from oracles import auc_pr_reference, random_kg
+from oracles import auc_pr_reference, random_kg, sample_negative_reference
 
 
 def test_auc_pr_matches_reference():
@@ -107,6 +108,73 @@ def test_sample_negative_too_few_entities():
     g = load_triples("a\tr\tb\n")
     with pytest.raises(ValueError, match="too few entities"):
         sample_negative(g, (0, 0, 1), np.random.default_rng(0))
+
+
+def _states_equal(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_states_equal(a[key], b[key]) for key in a)
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def _sampling_cases(rng):
+    """(graph, positives) pairs: 2 and 3 entities, where most draws are
+    rejected, self-loop positives, and graphs large enough that a block
+    holds several rejections or none."""
+    for n in (2, 3, 4, 17, 400):
+        g = from_parts([f"e{i}" for i in range(n)], ["r0", "r1"], [(0, 0, 1)])
+        positives = []
+        for i in range(240):
+            h, t = (int(x) for x in rng.integers(n, size=2))
+            positives.append((h, int(rng.integers(2)), h if n == 2 or i % 5 == 0 else t))
+        yield g, positives
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_sample_negatives_equal_the_scalar_draws_and_leave_the_same_state(
+        monkeypatch, bit_generator, block):
+    if block is not None:
+        monkeypatch.setattr(sys.modules["grail.evaluate"], "_NEGATIVE_BLOCK", block)
+    for seed, (g, positives) in enumerate(_sampling_cases(np.random.default_rng(40))):
+        assert any(h == t for h, _, t in positives)
+        want_rng, got_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        want = [sample_negative_reference(g, p, want_rng) for p in positives]
+        got = sample_negatives(g, positives, got_rng)
+        assert got == want and all(type(x) is int for x in got[0])
+        assert _states_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+        assert got_rng.integers(1 << 40) == want_rng.integers(1 << 40)
+        # one positive at a time on one generator, as training's groups and sample_negative call it
+        one_rng = np.random.Generator(bit_generator(seed))
+        assert [sample_negative(g, p, one_rng) for p in positives] == want
+    # an array of positives draws what the list draws
+    rngs = [np.random.Generator(bit_generator(9)) for _ in range(2)]
+    assert sample_negatives(g, np.array(positives), rngs[0]) == sample_negatives(g, positives, rngs[1])
+
+
+def test_sample_negatives_of_no_positives_draw_nothing():
+    g = from_parts(["a", "b", "c"], ["r"], [(0, 0, 1)])
+    rng = np.random.default_rng(41)
+    before = rng.bit_generator.state
+    assert sample_negatives(g, [], rng) == []
+    assert rng.bit_generator.state == before
+
+
+def test_sample_negatives_name_the_first_bad_positive():
+    g = from_parts(["a", "b", "c"], ["r0", "r1"], [(0, 0, 1)])
+    good = [(0, 0, 1), (1, 1, 0), (2, 0, 2)]
+    # each bad positive fails a check in the scalar order: h, then t, then r, then the count
+    bad = [(3, 5, 0), (-1, 0, 1), (0, 5, 3), (1, 0, -2), (0, 2, 1), (1, -1, 2)]
+    for trip in bad:
+        with pytest.raises(ValueError) as alone:
+            sample_negative_reference(g, trip, np.random.default_rng(0))
+        for positives in (good + [trip], good[:1] + [trip] + good[1:], [trip] + bad):
+            with pytest.raises(ValueError) as bulk:
+                sample_negatives(g, positives, np.random.default_rng(0))
+            assert str(bulk.value) == str(alone.value)
+    two = from_parts(["a", "b"], ["r"], [(0, 0, 1)])
+    with pytest.raises(ValueError, match=r"too few entities \(2\) to corrupt triple \(1,0,0\)"):
+        sample_negatives(two, [(0, 0, 0), (1, 0, 0), (0, 0, 2)], np.random.default_rng(0))
 
 
 def test_rank_from_scores():
@@ -221,14 +289,14 @@ def test_chunked_round_matches_one_scorer_call_per_test_edge(monkeypatch, mode):
 
     want = evaluate(per_edge, g, test_edges, num_negatives=20, seed=4)
     chunks = []
-    chunk = sys.modules["grail.evaluate"].bounded_chunks
+    unions = sys.modules["grail.evaluate"].bounded_unions
 
     def spied(*args):
-        out = chunk(*args)
-        chunks.extend(len(part) for part in out)
-        return out
+        for union in unions(*args):
+            chunks.append(len(union.member_sizes))
+            yield union
 
-    monkeypatch.setattr(sys.modules["grail.evaluate"], "bounded_chunks", spied)
+    monkeypatch.setattr(sys.modules["grail.evaluate"], "bounded_unions", spied)
     monkeypatch.setattr(sys.modules["grail.subgraph"], "NODE_BUDGET", 300)
     got = evaluate(scorer, g, test_edges, num_negatives=20, seed=4)
     # several chunks, and their boundaries cut through test edges' candidate lists

@@ -11,7 +11,7 @@ from grail.kg import from_parts, load_triples, without_triples
 from grail.subgraph import (
     EXTRACTION_MODES,
     LABEL_SCHEMES,
-    bounded_chunks,
+    bounded_unions,
     extract_enclosing,
     extract_union,
     feature_dim,
@@ -122,25 +122,46 @@ def test_node_bounds_cover_every_member():
     assert tight > 0  # a bound one node lower would miss some member
 
 
+def _candidates_of(union) -> list[list[int]]:
+    nodes = union.nodes
+    return np.stack([nodes[union.u_rows], union.target_rels, nodes[union.v_rows]], axis=1).tolist()
+
+
 def test_bounded_chunks_lay_the_candidates_end_to_end(monkeypatch):
     rng = np.random.default_rng(32)
     g = random_kg(rng, 40, 3, 120)
     candidates = _random_candidates(rng, g, 50)
+    khop = type(g).khop
+    looked_up = []
+
+    def counted(self, nodes, k):
+        looked_up.append(len(nodes))
+        return khop(self, nodes, k)
+
     for mode in EXTRACTION_MODES:
         bounds = node_bounds(g, candidates, 2, mode)
         for budget in (1, 30, int(bounds.sum()) // 3, grail.subgraph.NODE_BUDGET):
             monkeypatch.setattr(grail.subgraph, "NODE_BUDGET", budget)
-            chunks = bounded_chunks(g, candidates, 2, mode)
-            assert all(part.dtype == np.intp and part.shape[1] == 3 for part in chunks)
-            assert np.concatenate(chunks).tolist() == [list(c) for c in candidates]
+            monkeypatch.setattr(type(g), "khop", counted)
+            looked_up.clear()
+            unions = list(bounded_unions(g, candidates, 2, mode))
+            monkeypatch.setattr(type(g), "khop", khop)
+            # each candidate's k-hop sets are looked up once, for its bound and its extraction
+            assert looked_up == [len(candidates)] * 2
+            chunks = [_candidates_of(union) for union in unions]
+            assert sum(chunks, []) == [list(c) for c in candidates]
             ends = np.cumsum([len(part) for part in chunks])
-            for lo, hi in zip([0, *ends[:-1]], ends):
+            for lo, hi, union in zip([0, *ends[:-1]], ends, unions):
                 total = int(bounds[lo:hi].sum())
                 assert total <= budget or hi - lo == 1
                 # a chunk closes only where its next candidate would take it past the budget
                 assert hi == len(bounds) or total + bounds[hi] > budget
+                _assert_same_union(union, extract_union(g, candidates[lo:hi], 2, mode))
         monkeypatch.setattr(grail.subgraph, "NODE_BUDGET", 10**9)
-        assert len(bounded_chunks(g, candidates, 2, mode)) == 1
+        assert len(list(bounded_unions(g, candidates, 2, mode))) == 1
+    # checked as extract_union checks, before any union is built
+    with pytest.raises(ValueError, match="target nodes must differ"):
+        next(bounded_unions(g, candidates + [(3, 0, 3)], 2))
 
 
 def test_an_oversized_candidate_is_a_chunk_of_its_own(monkeypatch):
@@ -153,9 +174,9 @@ def test_an_oversized_candidate_is_a_chunk_of_its_own(monkeypatch):
     assert node_bounds(g, candidates, 1).tolist() == [3] * 5 + [12] + [3] * 3
     # three small bounds reach the budget exactly, so their chunk closes there
     monkeypatch.setattr(grail.subgraph, "NODE_BUDGET", 9)
-    chunks = bounded_chunks(g, candidates, 1)
+    chunks = [_candidates_of(union) for union in bounded_unions(g, candidates, 1)]
     assert [len(part) for part in chunks] == [3, 2, 1, 3]
-    assert chunks[2].tolist() == [[0, 0, 1]]
+    assert chunks[2] == [[0, 0, 1]]
 
 
 def test_target_edge_present_exactly_once():
