@@ -79,15 +79,12 @@ class GnnParams:
         return self.attn_rel_emb.data.shape[0]
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
-    return rng.uniform(-limit, limit, size=shape)
+def init_params(cfg: GnnConfig, num_relations: int, rng: np.random.Generator) -> GnnParams:
+    """Xavier-uniform weights and zero biases.
 
-
-def init_params(
-    cfg: GnnConfig, num_relations: int, rng: np.random.Generator, zero: bool = False
-) -> GnnParams:
-    """Xavier-uniform weights, zero biases; pass zero=True for an all-zero test model."""
+    Its named_tensors() is the one description of the parameter layout:
+    checkpoints, their loading and Adam's flat moments all follow it.
+    """
     if num_relations < 1:
         raise ValueError(f"num_relations must be >= 1, got {num_relations}")
     d = cfg.hidden_dim
@@ -95,9 +92,8 @@ def init_params(
     attn_hidden = cfg.hidden_dim
 
     def draw(shape: tuple[int, int]) -> Tensor:
-        if zero:
-            return ad.parameter(np.zeros(shape))
-        return ad.parameter(_glorot(rng, shape))
+        limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+        return ad.parameter(rng.uniform(-limit, limit, size=shape))
 
     layers = []
     for layer in range(cfg.num_layers):
@@ -118,41 +114,6 @@ def init_params(
         attn_rel_emb=draw((num_relations, d_attn)),
         target_rel_emb=draw((num_relations, d)),
         readout_w=draw((cfg.readout_dim(), 1)),
-    )
-
-
-def params_from_named(named: dict[str, np.ndarray]) -> GnnParams:
-    """Rebuild GnnParams from a checkpoint's named arrays; shapes come from the data."""
-    layer_ids = set()
-    for name in named:
-        if name.startswith("layers."):
-            layer_ids.add(int(name.split(".")[1]))
-    if not layer_ids or sorted(layer_ids) != list(range(max(layer_ids) + 1)):
-        raise ValueError("checkpoint tensor names do not describe a contiguous layer stack")
-    layers = []
-    for i in sorted(layer_ids):
-        basis_names = sorted(
-            (n for n in named if n.startswith(f"layers.{i}.bases.")),
-            key=lambda n: int(n.split(".")[-1]),
-        )
-        if not basis_names:
-            raise ValueError(f"checkpoint layer {i} has no basis tensors")
-        layers.append(
-            LayerParams(
-                bases=[ad.parameter(named[n]) for n in basis_names],
-                coeffs=ad.parameter(named[f"layers.{i}.coeffs"]),
-                w_self=ad.parameter(named[f"layers.{i}.w_self"]),
-                attn_w1=ad.parameter(named[f"layers.{i}.attn_w1"]),
-                attn_b1=ad.parameter(named[f"layers.{i}.attn_b1"]),
-                attn_w2=ad.parameter(named[f"layers.{i}.attn_w2"]),
-                attn_b2=ad.parameter(named[f"layers.{i}.attn_b2"]),
-            )
-        )
-    return GnnParams(
-        layers=layers,
-        attn_rel_emb=ad.parameter(named["attn_rel_emb"]),
-        target_rel_emb=ad.parameter(named["target_rel_emb"]),
-        readout_w=ad.parameter(named["readout_w"]),
     )
 
 

@@ -11,14 +11,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .evaluate import GrailScorer, auc_pr, sample_negatives
 from .kg import KnowledgeGraph, atomic_open
-from .model import (
-    GnnConfig,
-    GnnParams,
-    init_params,
-    params_from_named,
-    sample_edge_masks,
-    score_triplet,
-)
+from .model import GnnConfig, GnnParams, init_params, sample_edge_masks, score_triplet
 from .subgraph import (
     EXTRACTION_MODES,
     LABEL_SCHEMES,
@@ -130,40 +123,24 @@ def hinge_loss(scores: Tensor, pos_rows, neg_rows, margin: float) -> Tensor:
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count.
+    """Adam's step count and moments.
 
-    m and v name one array per parameter.  adam_step lays both out as flat
-    buffers, flat_m and flat_v, in the order of its params dict, and from
-    then on m[name] and v[name] are views into them; a state built from
-    named arrays (a restored checkpoint) is flattened on its first step.
+    m and v are flat buffers over all parameters, laid out in the order of
+    adam_step's params dict; both are None before the first step.
     """
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
-    flat_m: np.ndarray | None = field(default=None, repr=False)
-    flat_v: np.ndarray | None = field(default=None, repr=False)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def _flat_moments(moments: dict[str, np.ndarray], params: dict[str, Tensor], size: int) -> np.ndarray:
-    """moments laid out as one buffer in the order of params (zeros for a
-    parameter without moments yet); moments is refilled with views into it."""
-    flat = np.zeros(size)
-    views = {}
-    lo = 0
+def _unflatten(flat: np.ndarray, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Each parameter's view of flat, a buffer laid out in the order of params."""
+    views, lo = {}, 0
     for name, p in params.items():
-        views[name] = view = flat[lo : lo + p.data.size].reshape(p.data.shape)
-        if name in moments:
-            if moments[name].shape != p.data.shape:
-                raise ValueError(
-                    f"Adam moments of {name!r} have shape {moments[name].shape}, "
-                    f"but the parameter has shape {p.data.shape}"
-                )
-            view[...] = moments[name]
+        views[name] = flat[lo : lo + p.data.size].reshape(p.data.shape)
         lo += p.data.size
-    moments.clear()
-    moments.update(views)
-    return flat
+    return views
 
 
 def adam_step(
@@ -186,25 +163,22 @@ def adam_step(
     g = np.concatenate([p.grad.ravel() for p in tensors])
     g += l2 * np.concatenate([p.data.ravel() for p in tensors])
     if not np.isfinite(g).all():
-        ends = np.cumsum([p.data.size for p in tensors])
-        first = int(np.flatnonzero(~np.isfinite(g))[0])
-        name = list(params)[int(np.searchsorted(ends, first, side="right"))]
+        name = next(n for n, part in _unflatten(g, params).items() if not np.isfinite(part).all())
         raise ValueError(f"non-finite gradient for parameter {name!r}")
-    if state.flat_m is None or state.flat_m.shape != g.shape:
-        state.flat_m = _flat_moments(state.m, params, g.size)
-        state.flat_v = _flat_moments(state.v, params, g.size)
+    if state.m is None:
+        state.m, state.v = np.zeros(g.size), np.zeros(g.size)
+    elif state.m.shape != g.shape:
+        raise ValueError(f"Adam moments hold {state.m.size} values for {g.size} parameter values")
     state.t += 1
     t = state.t
-    m, v = state.flat_m, state.flat_v
+    m, v = state.m, state.v
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
     v += (1.0 - beta2) * g * g
     step = lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
-    lo = 0
-    for p in tensors:
-        p.data -= step[lo : lo + p.data.size].reshape(p.data.shape)
-        lo += p.data.size
+    for name, part in _unflatten(step, params).items():
+        params[name].data -= part
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -356,30 +330,34 @@ def model_from_checkpoint(ck: Checkpoint) -> tuple[GnnParams, GnnConfig, TrainCo
 
     Every weight tensor must have the name and shape that init_params gives
     for the stored config, so a checkpoint whose config does not describe its
-    tensors fails here instead of at its first score.
+    tensors fails here instead of at its first score.  The weights are
+    copies: training them leaves ck as it was.
     """
     gcfg = config_from_text(GnnConfig, ck.config)
     tcfg = config_from_text(TrainConfig, ck.config)
     named = {k: v for k, v in ck.tensors.items() if not k.startswith("adam.")}
-    layout = init_params(gcfg, int(ck.config["num_relations"]), np.random.default_rng(0), zero=True)
-    want = {name: t.data.shape for name, t in layout.named_tensors().items()}
-    for name in [*want, *(n for n in named if n not in want)]:
+    params = init_params(gcfg, int(ck.config["num_relations"]), np.random.default_rng(0))
+    layout = params.named_tensors()
+    for name in [*layout, *(n for n in named if n not in layout)]:
         got = named[name].shape if name in named else None
-        if got != want.get(name):
+        want = layout[name].data.shape if name in layout else None
+        if got != want:
             raise ValueError(
-                f"checkpoint tensor {name!r} has shape {got} but its config gives {want.get(name)}"
+                f"checkpoint tensor {name!r} has shape {got} but its config gives {want}"
             )
-    return params_from_named(named), gcfg, tcfg
+        layout[name].data[...] = named[name]
+    return params, gcfg, tcfg
 
 
 def resume_params(
     start: Checkpoint, relation_names: list[str], gcfg: GnnConfig, tcfg: TrainConfig
-) -> GnnParams:
-    """The weights to resume training from.
+) -> tuple[GnnParams, AdamState]:
+    """The weights and the Adam state to resume training from, copied out of start.
 
     Raises ValueError if start was trained on another relation vocabulary,
-    or if any GnnConfig field or model-input TrainConfig field differs;
-    epochs and the optimiser settings may change.
+    if any GnnConfig field or model-input TrainConfig field differs, or if
+    its Adam moments do not cover every parameter with its shape; epochs
+    and the optimiser settings may change.
     """
     if relations_from_checkpoint(start) != relation_names:
         raise ValueError("checkpoint relation vocabulary does not match the training graph")
@@ -393,7 +371,7 @@ def resume_params(
                 f"cannot resume: the checkpoint has {f.name}={setting_text(was)} "
                 f"but the config has {f.name}={setting_text(now)}"
             )
-    return params
+    return params, _adam_state_from_tensors(start.tensors, params.named_tensors())
 
 
 def scorer_from_checkpoint(
@@ -412,24 +390,43 @@ def scorer_from_checkpoint(
 
 
 def _checkpoint_tensors(params: GnnParams, state: AdamState) -> dict[str, np.ndarray]:
-    out = {name: t.data.copy() for name, t in params.named_tensors().items()}
-    for name, arr in state.m.items():
-        out[f"adam.m.{name}"] = arr.copy()
-    for name, arr in state.v.items():
-        out[f"adam.v.{name}"] = arr.copy()
+    """The weights, Adam's moments per parameter once it has stepped, then its step count."""
+    named = params.named_tensors()
+    out = {name: t.data.copy() for name, t in named.items()}
+    for key, flat in (("m", state.m), ("v", state.v)):
+        if flat is not None:
+            for name, part in _unflatten(flat, named).items():
+                out[f"adam.{key}.{name}"] = part.copy()
     out["adam.t"] = np.array(float(state.t))
     return out
 
 
-def _adam_state_from_tensors(tensors: dict[str, np.ndarray]) -> AdamState:
+def _adam_state_from_tensors(
+    tensors: dict[str, np.ndarray], params: dict[str, Tensor]
+) -> AdamState:
+    """The Adam state _checkpoint_tensors stored, its moments in the order of params;
+    they must cover every parameter with its shape, or be absent altogether."""
     state = AdamState()
-    for name, arr in tensors.items():
-        if name.startswith("adam.m."):
-            state.m[name[len("adam.m.") :]] = arr.copy()
-        elif name.startswith("adam.v."):
-            state.v[name[len("adam.v.") :]] = arr.copy()
     if "adam.t" in tensors:
         state.t = int(np.asarray(tensors["adam.t"]).reshape(-1)[0])
+    stored = [n for n in tensors if n.startswith(("adam.m.", "adam.v."))]
+    if not stored:
+        return state
+    unknown = next((n for n in stored if n[len("adam.m.") :] not in params), None)
+    if unknown is not None:
+        raise ValueError(f"checkpoint tensor {unknown!r} holds Adam moments of no parameter")
+    for name, p in params.items():
+        for key in (f"adam.m.{name}", f"adam.v.{name}"):
+            if key not in tensors:
+                raise ValueError(f"checkpoint has Adam moments, but no {key!r}")
+            if tensors[key].shape != p.data.shape:
+                raise ValueError(
+                    f"Adam moments of {name!r} have shape {tensors[key].shape}, "
+                    f"but the parameter has shape {p.data.shape}"
+                )
+    state.m, state.v = (
+        np.concatenate([tensors[f"adam.{key}.{name}"].ravel() for name in params]) for key in "mv"
+    )
     return state
 
 
@@ -537,8 +534,7 @@ def train(
 
     seed = tcfg.seed
     if start is not None:
-        params = resume_params(start, g_train.relation_names, gcfg, tcfg)
-        adam = _adam_state_from_tensors(start.tensors)
+        params, adam = resume_params(start, g_train.relation_names, gcfg, tcfg)
         first_epoch = start.epoch + 1
         if first_epoch > tcfg.epochs:
             raise ValueError(

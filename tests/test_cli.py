@@ -11,9 +11,15 @@ import pytest
 
 from grail.cli import CONFIG_DEFAULTS, main
 from grail.evaluate import late_fusion, parse_labels_file, parse_score_file
-from grail.kg import load_triples_file, to_lines
+from grail.kg import from_parts, load_triples_file, to_lines
 from grail.model import GnnConfig
-from grail.train import TrainConfig, load_checkpoint, model_from_checkpoint, setting_text
+from grail.train import (
+    TrainConfig,
+    load_checkpoint,
+    model_from_checkpoint,
+    save_checkpoint,
+    setting_text,
+)
 
 from oracles import random_kg
 
@@ -390,6 +396,46 @@ def test_resume_with_changed_model_config_exit_2(workdir, tmp_path):
                      "--from-checkpoint", workdir["ck"] + ".final"])
         assert code == 2, change
     assert not os.path.exists(tmp_path / "o.ck")
+
+
+def test_resume_with_bad_adam_moments_exit_2(workdir, tmp_path, capsys):
+    bad = load_checkpoint(workdir["ck"] + ".final")
+    bad.tensors["adam.m.readout_w"] = np.zeros(3)
+    bad_path = str(tmp_path / "bad.ck")
+    save_checkpoint(bad, bad_path)
+    cfg = str(tmp_path / "three.cfg")
+    open(cfg, "w").write(FAST_TRAIN.replace("epochs=2", "epochs=3"))
+    capsys.readouterr()
+    code = main(["train", "--train", os.path.join(workdir["bench"], "train.txt"),
+                 "--valid", os.path.join(workdir["bench"], "valid.txt"),
+                 "--config", cfg, "--out", str(tmp_path / "o.ck"), "--from-checkpoint", bad_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Adam moments of 'readout_w' have shape (3,)" in err and "epoch 3" not in err
+    assert not os.path.exists(tmp_path / "o.ck")
+
+
+def test_resume_that_no_epoch_improves_writes_the_start_as_best(tmp_path):
+    g = random_kg(np.random.default_rng(0), 40, 3, 160)
+    for name, trips in (("train", g.triples[:120]), ("valid", g.triples[120:140])):
+        open(tmp_path / f"{name}.txt", "w").write(
+            to_lines(from_parts(g.entity_names, g.relation_names, trips)))
+    open(tmp_path / "start.cfg", "w").write("epochs=3\nnum_layers=2\nhops=2\n")
+    open(tmp_path / "resume.cfg", "w").write(
+        "epochs=5\nnum_layers=2\nhops=2\nlr=1e-9\neval_every=1\n")
+    args = ["train", "--train", str(tmp_path / "train.txt"), "--valid", str(tmp_path / "valid.txt"),
+            "--seed", "7"]
+    start_path, out = str(tmp_path / "start.ck.final"), str(tmp_path / "resumed.ck")
+    assert main(args + ["--config", str(tmp_path / "start.cfg"), "--out", str(tmp_path / "start.ck")]) == 0
+    start_bytes = open(start_path, "rb").read()
+    assert main(args + ["--config", str(tmp_path / "resume.cfg"), "--out", out,
+                        "--from-checkpoint", start_path]) == 0
+    start, best, final = (load_checkpoint(p) for p in (start_path, out, out + ".final"))
+    assert open(start_path, "rb").read() == start_bytes
+    weights = [name for name in start.tensors if not name.startswith("adam.")]
+    assert (best.epoch, best.val_metric) == (3, start.val_metric)
+    assert all(np.array_equal(best.tensors[name], start.tensors[name]) for name in weights)
+    assert not all(np.array_equal(final.tensors[name], start.tensors[name]) for name in weights)
 
 
 def test_config_defaults_are_the_dataclass_fields(capsys):

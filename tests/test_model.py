@@ -13,7 +13,6 @@ from grail.model import (
     GnnConfig,
     init_params,
     layer_forward,
-    params_from_named,
     sample_edge_masks,
     score_triplet,
 )
@@ -83,36 +82,9 @@ def test_init_deterministic():
     assert not np.array_equal(a.readout_w.data, c.readout_w.data)
 
 
-def test_init_zero_flag():
-    p = init_params(small_cfg(), 3, np.random.default_rng(0), zero=True)
-    for t in p.named_tensors().values():
-        assert np.all(t.data == 0.0)
-
-
 def test_init_rejects_bad_relation_count():
     with pytest.raises(ValueError, match="num_relations"):
         init_params(small_cfg(), 0, np.random.default_rng(0))
-
-
-def test_named_roundtrip():
-    p = init_params(small_cfg(), 3, np.random.default_rng(1))
-    named = {k: t.data for k, t in p.named_tensors().items()}
-    q = params_from_named(named)
-    qn = q.named_tensors()
-    assert set(qn) == set(named)
-    for k in named:
-        assert np.array_equal(named[k], qn[k].data)
-
-
-def test_params_from_named_errors():
-    p = init_params(small_cfg(), 3, np.random.default_rng(1))
-    named = {k: t.data for k, t in p.named_tensors().items()}
-    gap = {k: v for k, v in named.items() if not k.startswith("layers.0.")}
-    with pytest.raises(ValueError, match="contiguous"):
-        params_from_named(gap)
-    nobases = {k: v for k, v in named.items() if ".bases." not in k}
-    with pytest.raises(ValueError, match="no basis"):
-        params_from_named(nobases)
 
 
 def test_attention_disabled_gate_is_one():

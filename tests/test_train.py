@@ -114,6 +114,8 @@ def test_flat_adam_equals_the_per_parameter_update_bit_for_bit():
     flat = {name: parameter(arr.copy()) for name, arr in init.items()}
     ref = {name: parameter(arr.copy()) for name, arr in init.items()}
     state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+    model = SimpleNamespace(named_tensors=lambda: flat)
+    assert list(_checkpoint_tensors(model, state)) == [*shapes, "adam.t"]
     for step in range(10):
         for name in shapes:
             g = rng.standard_normal(shapes[name])
@@ -123,18 +125,23 @@ def test_flat_adam_equals_the_per_parameter_update_bit_for_bit():
             ref[name].grad[...] = g
         adam_step(flat, state, lr=0.05, l2=0.01)
         adam_step_reference(ref, ref_state, lr=0.05, l2=0.01)
-        assert state.t == ref_state["t"]
+        # the moments as a checkpoint stores them: per parameter, m then v, in the params' order
+        tensors = _checkpoint_tensors(model, state)
+        assert list(tensors) == [*shapes, *(f"adam.{key}.{name}" for key in "mv" for name in shapes),
+                                 "adam.t"]
+        assert tensors["adam.t"] == ref_state["t"] == state.t
         for name in shapes:
             assert flat[name].data.tobytes() == ref[name].data.tobytes(), (step, name)
-            assert state.m[name].tobytes() == ref_state["m"][name].tobytes(), (step, name)
-            assert state.v[name].tobytes() == ref_state["v"][name].tobytes(), (step, name)
+            assert tensors[f"adam.m.{name}"].tobytes() == ref_state["m"][name].tobytes(), (step, name)
+            assert tensors[f"adam.v.{name}"].tobytes() == ref_state["v"][name].tobytes(), (step, name)
         if step == 4:
             # through the checkpoint's named arrays, as a resumed run restores it
-            tensors = _checkpoint_tensors(SimpleNamespace(named_tensors=lambda: flat), state)
-            assert {f"adam.m.{name}" for name in shapes} <= set(tensors)
-            assert all(tensors[f"adam.v.{name}"].shape == shape for name, shape in shapes.items())
-            state = _adam_state_from_tensors(tensors)
+            state = _adam_state_from_tensors(tensors, flat)
             assert state.t == 5
+    # moments of another parameter set are refused before anything changes
+    with pytest.raises(ValueError, match="Adam moments hold 18 values for 12 parameter values"):
+        adam_step({"w": flat["w"]}, state, lr=0.05)
+    assert state.t == 10
 
 
 def test_adam_names_the_first_parameter_with_a_nonfinite_grad():
@@ -151,11 +158,35 @@ def test_adam_names_the_first_parameter_with_a_nonfinite_grad():
 
 
 def test_adam_rejects_restored_moments_of_another_shape():
-    p = parameter(np.ones((2, 2)))
-    p.zero_grad()
-    state = AdamState(m={"p": np.zeros(4)}, v={"p": np.zeros(4)}, t=3)
-    with pytest.raises(ValueError, match=r"Adam moments of 'p' have shape \(4,\)"):
-        adam_step({"p": p}, state, lr=0.1)
+    # stored moments cover every parameter with its shape or are absent
+    # altogether; any other set fails before the first resumed epoch
+    g, valid, tcfg, gcfg = toy_setup(epochs=2, seed=9)
+    _, start, _ = train(g, valid, dataclasses.replace(tcfg, epochs=1), gcfg)
+
+    def resume(tensors, log_fn=None):
+        ck = Checkpoint(start.config, tensors, start.epoch, start.val_metric)
+        return train(g, valid, tcfg, gcfg, start=ck, log_fn=log_fn)
+
+    bad = [
+        ({**start.tensors, "adam.m.readout_w": np.zeros(4)},
+         r"Adam moments of 'readout_w' have shape \(4,\), but the parameter has shape \(32, 1\)"),
+        ({k: v for k, v in start.tensors.items() if k != "adam.v.readout_w"},
+         "checkpoint has Adam moments, but no 'adam.v.readout_w'"),
+        ({k: v for k, v in start.tensors.items() if not k.startswith("adam.v.")},
+         "checkpoint has Adam moments, but no 'adam.v.layers.0.bases.0'"),
+        ({**start.tensors, "adam.v.layers.2.w_self": np.zeros((4, 4))},
+         "checkpoint tensor 'adam.v.layers.2.w_self' holds Adam moments of no parameter"),
+    ]
+    for tensors, message in bad:
+        logged = []
+        with pytest.raises(ValueError, match=message):
+            resume(tensors, logged.append)
+        assert logged == []
+    # without moments, the resumed run starts fresh ones at the stored step count
+    fresh = {k: v for k, v in start.tensors.items() if not k.startswith(("adam.m.", "adam.v."))}
+    _, final, history = resume(fresh)
+    assert [h["epoch"] for h in history] == [2]
+    assert final.tensors["adam.t"] == 2 * start.tensors["adam.t"]
 
 
 def test_clip_gradients():
@@ -343,6 +374,26 @@ def test_resume_past_end_rejected():
     _, final, _ = train(g, valid, tcfg, gcfg)
     with pytest.raises(ValueError, match="already at epoch"):
         train(g, valid, tcfg, gcfg, start=final)
+
+
+def test_resume_that_no_epoch_improves_returns_the_start():
+    # the best checkpoint of a resumed run that never beats its start holds
+    # the start's weights, and training leaves the start as it was
+    g = random_kg(np.random.default_rng(0), 40, 3, 160)
+    g_train = from_parts(g.entity_names, g.relation_names, g.triples[:120])
+    valid = g.triples[120:140]
+    gcfg = GnnConfig(num_layers=2, input_dim=feature_dim(2))
+    _, start, _ = train(g_train, valid, TrainConfig(epochs=3, hops=2, seed=7), gcfg)
+    kept = {name: arr.copy() for name, arr in start.tensors.items()}
+    tcfg = TrainConfig(epochs=5, lr=1e-9, eval_every=1, hops=2, seed=7)
+    best, final, history = train(g_train, valid, tcfg, gcfg, start=start)
+    assert [h["epoch"] for h in history] == [4, 5]
+    assert all(h["val_auc_pr"] <= start.val_metric for h in history)
+    assert all(np.array_equal(start.tensors[name], arr) for name, arr in kept.items())
+    weights = [name for name in kept if not name.startswith("adam.")]
+    assert best.epoch == 3
+    assert all(np.array_equal(best.tensors[name], kept[name]) for name in weights)
+    assert not all(np.array_equal(final.tensors[name], kept[name]) for name in weights)
 
 
 def test_train_input_validation():
@@ -548,7 +599,9 @@ def test_checkpoint_tensors_checked_against_config():
     _, final, _ = train(g, valid, tcfg, gcfg)
     params, _, got_tcfg = model_from_checkpoint(final)
     assert got_tcfg == tcfg
-    assert all(np.array_equal(t.data, final.tensors[n]) for n, t in params.named_tensors().items())
+    for name, t in params.named_tensors().items():
+        assert np.array_equal(t.data, final.tensors[name])
+        assert not np.shares_memory(t.data, final.tensors[name]), name
 
     edited = Checkpoint({**final.config, "hidden_dim": "32", "jk_enabled": "false"},
                         final.tensors, final.epoch, final.val_metric)
@@ -570,3 +623,6 @@ def test_checkpoint_tensors_checked_against_config():
     extra = {**final.tensors, "layers.0.bases.2": np.zeros((8, 4))}
     with pytest.raises(ValueError, match=r"'layers.0.bases.2' has shape \(8, 4\) but its config gives None"):
         model_from_checkpoint(Checkpoint(final.config, extra, 1, 0.5))
+    no_second_layer = {k: v for k, v in final.tensors.items() if not k.startswith("layers.1.")}
+    with pytest.raises(ValueError, match=r"'layers.1.bases.0' has shape None but its config gives \(4, 4\)"):
+        model_from_checkpoint(Checkpoint(final.config, no_second_layer, 1, 0.5))
