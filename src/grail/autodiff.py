@@ -13,8 +13,10 @@ contributions taken from the most recently built consumer down, and a node
 that lists one parent more than once (a fused op that uses an input in
 several places) has those contributions added in the order it lists them.
 So a fused op whose vjp lists a parent once per use, in the reverse of the
-order in which an equivalent chain of these primitives would have made the
-uses, gets the chain's gradients bit for bit.
+order in which an equivalent chain of primitives would have made the uses,
+gets the chain's gradients bit for bit.  This module keeps the primitives
+the model's readout runs; the generic ones the tests build such chains from
+live in tests/tape_ops.py.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self._grad is None:
-            # a copy: add's vjp hands one array to both parents, concat's hands out views
+            # a copy: a vjp may hand one array to several parents (tests/tape_ops.add
+            # does), and concat's hands out views
             self._grad = g.copy()
         else:
             self._grad += g
@@ -155,82 +158,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _vjp=vjp)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; b may also be a scalar or a row vector matching a's last axis."""
-    same = a.data.shape == b.data.shape
-    scalar = b.data.size == 1
-    row = b.data.ndim == 1 and a.data.ndim == 2 and b.data.shape[0] == a.data.shape[1]
-    if not (same or scalar or row):
-        raise ValueError(f"add: incompatible shapes {a.data.shape} + {b.data.shape}")
-    out_data = a.data + b.data
-
-    def vjp(g: np.ndarray):
-        if same:
-            gb = g
-        elif scalar:
-            gb = np.sum(g).reshape(b.data.shape)
-        else:
-            gb = np.sum(g, axis=0)
-        return g, gb
-
-    return Tensor(out_data, _parents=(a, b), _vjp=vjp)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; one side may be a scalar or an (N,1) column against (N,d)."""
-    same = a.data.shape == b.data.shape
-    b_scalar = b.data.size == 1
-    a_scalar = a.data.size == 1 and not b_scalar
-    b_col = (
-        a.data.ndim == 2
-        and b.data.ndim == 2
-        and b.data.shape == (a.data.shape[0], 1)
-        and a.data.shape[1] != 1
-    )
-    a_col = (
-        b.data.ndim == 2
-        and a.data.ndim == 2
-        and a.data.shape == (b.data.shape[0], 1)
-        and b.data.shape[1] != 1
-    )
-    if not (same or b_scalar or a_scalar or b_col or a_col):
-        raise ValueError(f"mul: incompatible shapes {a.data.shape} * {b.data.shape}")
-    out_data = a.data * b.data
-
-    def vjp(g: np.ndarray):
-        ga = g * b.data
-        gb = g * a.data
-        if b_scalar and not same:
-            gb = np.sum(gb).reshape(b.data.shape)
-        elif a_scalar and not same:
-            ga = np.sum(ga).reshape(a.data.shape)
-        elif b_col:
-            gb = np.sum(gb, axis=1, keepdims=True)
-        elif a_col:
-            ga = np.sum(ga, axis=1, keepdims=True)
-        return ga, gb
-
-    return Tensor(out_data, _parents=(a, b), _vjp=vjp)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def vjp(g: np.ndarray):
-        return (g * c,)
-
-    return Tensor(a.data * c, _parents=(a,), _vjp=vjp)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0  # subgradient 0 at the kink
-
-    def vjp(g: np.ndarray):
-        return (g * mask,)
-
-    return Tensor(np.where(mask, a.data, 0.0), _parents=(a,), _vjp=vjp)
-
-
 def logistic(x: np.ndarray) -> np.ndarray:
     """The logistic function of an array, computed without overflow."""
     out = np.empty_like(x)
@@ -239,15 +166,6 @@ def logistic(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])  # exp of a negative number never overflows
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = logistic(a.data)
-
-    def vjp(g: np.ndarray):
-        return (g * out_data * (1.0 - out_data),)
-
-    return Tensor(out_data, _parents=(a,), _vjp=vjp)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -265,15 +183,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
         return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
 
     return Tensor(out_data, _parents=tuple(parts), _vjp=vjp)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out_data = np.sum(a.data)
-
-    def vjp(g: np.ndarray):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return Tensor(out_data, _parents=(a,), _vjp=vjp)
 
 
 def scatter_rows(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
@@ -326,37 +235,6 @@ def segment_sum(a: Tensor, index, n: int) -> Tensor:
         return (g[idx],)
 
     return Tensor(out_data, _parents=(a,), _vjp=vjp)
-
-
-def basis_matmul(a: Tensor, coef: Tensor, bases: Sequence[Tensor]) -> Tensor:
-    """Row e of a times its own mixture of bases: a[e] @ sum_b coef[e, b] * bases[b].
-
-    a is (E, d_in), coef (E, B) and each of the B bases (d_in, d).  The
-    bases are stacked and applied in one product, so the op costs the same
-    for any number of bases.
-    """
-    if not bases:
-        raise ValueError("basis_matmul: empty basis list")
-    stacked = np.stack([b.data for b in bases])  # (B, d_in, d)
-    num_bases, d_in, d = stacked.shape
-    num_rows = a.data.shape[0]
-    if a.data.shape != (num_rows, d_in) or coef.data.shape != (num_rows, num_bases):
-        raise ValueError(
-            f"basis_matmul: incompatible shapes {a.data.shape}, {coef.data.shape}, "
-            f"{num_bases} x {(d_in, d)}"
-        )
-    flat = stacked.transpose(1, 0, 2).reshape(d_in, num_bases * d)  # columns [b, d]
-    proj = (a.data @ flat).reshape(num_rows, num_bases, d)
-    out_data = np.einsum("eb,ebd->ed", coef.data, proj)
-
-    def vjp(g: np.ndarray):
-        g_proj = (coef.data[:, :, None] * g[:, None, :]).reshape(num_rows, num_bases * d)
-        g_a = g_proj @ flat.T
-        g_coef = np.einsum("ed,ebd->eb", g, proj)
-        g_flat = (a.data.T @ g_proj).reshape(d_in, num_bases, d)
-        return (g_a, g_coef) + tuple(g_flat[:, b, :] for b in range(num_bases))
-
-    return Tensor(out_data, _parents=(a, coef, *bases), _vjp=vjp)
 
 
 def apply_mask(a: Tensor, mask: np.ndarray) -> Tensor:

@@ -34,10 +34,10 @@ from .logic import verify_theorem1
 from .model import GnnConfig
 from .subgraph import feature_dim, parse_aux_features
 from .train import (
+    ResumeError,
     TrainConfig,
     load_checkpoint,
     parse_setting,
-    resume_params,
     save_checkpoint,
     scorer_from_checkpoint,
     setting_text,
@@ -196,13 +196,12 @@ def cmd_train(args) -> int:
         if not os.path.isfile(args.from_checkpoint):
             raise ConfigError(f"no such file: {args.from_checkpoint}")
         start = load_checkpoint(args.from_checkpoint)
-        try:
-            resume_params(start, g_train.relation_names, gcfg, tcfg)
-        except ValueError as e:
-            raise ConfigError(f"{args.from_checkpoint}: {e}") from e
-    best, final, history = train(
-        g_train, valid, tcfg, gcfg, aux_features=aux, start=start, log_fn=_log
-    )
+    try:
+        best, final, history = train(
+            g_train, valid, tcfg, gcfg, aux_features=aux, start=start, log_fn=_log
+        )
+    except ResumeError as e:  # raised before any epoch runs
+        raise ConfigError(f"{args.from_checkpoint}: {e}") from e
     save_checkpoint(best, args.out)
     save_checkpoint(final, args.out + ".final")
     loss_log = args.loss_log if args.loss_log is not None else args.out + ".loss.csv"

@@ -63,7 +63,7 @@ def sample_negative(
     triple: sampling is unfiltered.  The coin is one rng.integers(2) draw and
     each entity one rng.integers(num_entities) draw, in that order.
     """
-    return sample_negatives(g, [positive], rng)[0]
+    return tuple(sample_negatives(g, [positive], rng)[0].tolist())
 
 
 # negatives drawn per array draw; a rejection replays its block up to the
@@ -71,10 +71,9 @@ def sample_negative(
 _NEGATIVE_BLOCK = 512
 
 
-def sample_negatives(
-    g: KnowledgeGraph, positives, rng: np.random.Generator
-) -> list[tuple[int, int, int]]:
-    """[sample_negative(g, p, rng) for p in positives], drawn in bulk.
+def sample_negatives(g: KnowledgeGraph, positives, rng: np.random.Generator) -> np.ndarray:
+    """[sample_negative(g, p, rng) for p in positives] as a (P, 3) integer
+    array, drawn in bulk.
 
     Returns the same negatives, and leaves rng in the same state, as that
     loop.  A block of negatives is one rng.integers call whose array of
@@ -118,8 +117,7 @@ def sample_negatives(
         at += size
     on_head = draws[:, 0] == 0
     ents = draws[:, 1]
-    negs = np.stack([np.where(on_head, ents, heads), rels, np.where(on_head, tails, ents)])
-    return list(zip(*negs.tolist()))
+    return np.column_stack([np.where(on_head, ents, heads), rels, np.where(on_head, tails, ents)])
 
 
 def rank_from_scores(pos_score: float, neg_scores) -> int:
@@ -178,10 +176,11 @@ class GrailScorer:
     def __call__(
         self,
         g: KnowledgeGraph,
-        candidates: list[tuple[int, int, int]],
+        candidates: np.ndarray,
         held_out: set[tuple[int, int, int]],
     ) -> list[float]:
-        """Scores of candidates (h, r, t) of g, in order.
+        """Scores of the (C, 3) integer array of candidates (h, r, t) of g,
+        in order.
 
         The candidates are scored in the consecutive node-bounded unions of
         bounded_unions, so a call's memory is bounded by NODE_BUDGET however
@@ -307,9 +306,10 @@ def evaluate(
     front from two seeded streams, each in one sample_negatives call, so
     results are reproducible bit-for-bit for a given seed.
     scorer(graph, candidates, held_out) returns one score per candidate; it
-    is called once per round, with every scoreable test edge's [positive,
-    AUC negative, *rank negatives] laid end to end, and held_out the test
-    edges, which the message graph keeps out of every subgraph.
+    is called once per round, with candidates a (C, 3) integer array of
+    every scoreable test edge's [positive, AUC negative, *rank negatives]
+    rows laid end to end, and held_out the test edges, which the message
+    graph keeps out of every subgraph.
     """
     if not test_edges:
         raise ValueError("no test edges to evaluate")
@@ -322,11 +322,11 @@ def evaluate(
         raise ValueError("all test edges are self-loops; nothing can be scored")
     rng_auc = np.random.default_rng([seed, _AUC_STREAM])
     rng_rank = np.random.default_rng([seed, _RANK_STREAM])
-    auc_negs = sample_negatives(msg_graph, scoreable, rng_auc)
-    rank_negs = sample_negatives(msg_graph, np.repeat(scoreable, num_negatives, axis=0), rng_rank)
-    candidates = []
-    for i, (trip, auc_neg) in enumerate(zip(scoreable, auc_negs)):
-        candidates += [trip, auc_neg, *rank_negs[i * num_negatives : (i + 1) * num_negatives]]
+    pos = np.array(scoreable, dtype=np.int64).reshape(-1, 3)
+    auc_negs = sample_negatives(msg_graph, pos, rng_auc)
+    rank_negs = sample_negatives(msg_graph, np.repeat(pos, num_negatives, axis=0), rng_rank)
+    per_edge = [pos[:, None], auc_negs[:, None], rank_negs.reshape(len(pos), num_negatives, 3)]
+    candidates = np.concatenate(per_edge, axis=1).reshape(-1, 3)
     scores = scorer(msg_graph, candidates, set(test_edges))
     if len(scores) != len(candidates):
         raise ValueError(f"scorer returned {len(scores)} scores for {len(candidates)} candidates")
@@ -339,7 +339,7 @@ def evaluate(
         rank = rank_from_scores(pos_scores[i], scores[i * per + 2:(i + 1) * per])
         hits += rank <= 10
         records.append(EvalRecord(ents[h], rels[r], ents[t], 1, pos_scores[i], rank))
-    for (h, r, t), neg in zip(auc_negs, neg_scores):
+    for (h, r, t), neg in zip(auc_negs.tolist(), neg_scores):
         records.append(EvalRecord(ents[h], rels[r], ents[t], 0, neg, None))
     return EvalReport(
         auc_pr=auc_pr(pos_scores, neg_scores),

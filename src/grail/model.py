@@ -118,7 +118,8 @@ def init_params(cfg: GnnConfig, num_relations: int, rng: np.random.Generator) ->
 
 
 def _bias_grad(g: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """The adjoint of a bias added to every row of g, summed as ad.add sums it."""
+    """The adjoint of a bias added to every row of g, summed as the tests'
+    tape_ops.add sums it."""
     return np.sum(g).reshape(bias.shape) if bias.size == 1 else np.sum(g, axis=0)
 
 
@@ -146,9 +147,10 @@ def layer_forward(
 
     The layer is one tape node with a hand-written vjp.  It returns the same
     floats, forward and backward, as the chain of autodiff primitives it
-    replaces (kept in tests/oracles.py): it lists a parent once per use, in
-    the reverse of the order in which the chain made the uses, so backward
-    adds the contributions in the chain's order.  Outside no_grad it keeps
+    replaces (tests/oracles.layer_forward_chain, built from the ops of
+    tests/tape_ops.py): it lists a parent once per use, in the reverse of
+    the order in which the chain made the uses, so backward adds the
+    contributions in the chain's order.  Outside no_grad it keeps
     what its vjp needs; inside, it updates its buffers in place and frees
     each as soon as it is spent.
     """
@@ -244,7 +246,7 @@ def layer_forward(
         attn_grads = ()
         if through_gates:
             g_alpha = g_msg * msg
-            if d != 1:  # as ad.mul: with one message column the gate is not broadcast
+            if d != 1:  # as the tests' tape_ops.mul: one message column does not broadcast the gate
                 g_alpha = np.sum(g_alpha, axis=1, keepdims=True)
             g_logit = g_alpha * alpha * (1.0 - alpha)
             g_hidden = (g_logit @ lp.attn_w2.data.T) * keep_hidden

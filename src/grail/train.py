@@ -40,6 +40,7 @@ __all__ = [
     "config_from_text",
     "model_from_checkpoint",
     "resume_params",
+    "ResumeError",
     "scorer_from_checkpoint",
     "write_loss_log",
 ]
@@ -349,29 +350,43 @@ def model_from_checkpoint(ck: Checkpoint) -> tuple[GnnParams, GnnConfig, TrainCo
     return params, gcfg, tcfg
 
 
+class ResumeError(ValueError):
+    """A start checkpoint that cannot be resumed on this graph with this config."""
+
+
 def resume_params(
     start: Checkpoint, relation_names: list[str], gcfg: GnnConfig, tcfg: TrainConfig
 ) -> tuple[GnnParams, AdamState]:
     """The weights and the Adam state to resume training from, copied out of start.
 
-    Raises ValueError if start was trained on another relation vocabulary,
-    if any GnnConfig field or model-input TrainConfig field differs, or if
-    its Adam moments do not cover every parameter with its shape; epochs
-    and the optimiser settings may change.
+    Raises ResumeError if start was trained on another relation vocabulary,
+    if its weights do not match its own config, if any GnnConfig field or
+    model-input TrainConfig field differs, if its Adam moments do not cover
+    every parameter with its shape, or if it is already at tcfg.epochs;
+    epochs and the optimiser settings may change.
     """
-    if relations_from_checkpoint(start) != relation_names:
-        raise ValueError("checkpoint relation vocabulary does not match the training graph")
-    params, ck_gcfg, ck_tcfg = model_from_checkpoint(start)
-    pairs = [(f, ck_gcfg, gcfg) for f in fields(gcfg)]
-    pairs += [(f, ck_tcfg, tcfg) for f in fields(tcfg) if f.metadata.get("model_input")]
-    for f, old, new in pairs:
-        was, now = getattr(old, f.name), getattr(new, f.name)
-        if was != now:
+    try:
+        if relations_from_checkpoint(start) != relation_names:
+            raise ValueError("checkpoint relation vocabulary does not match the training graph")
+        params, ck_gcfg, ck_tcfg = model_from_checkpoint(start)
+        pairs = [(f, ck_gcfg, gcfg) for f in fields(gcfg)]
+        pairs += [(f, ck_tcfg, tcfg) for f in fields(tcfg) if f.metadata.get("model_input")]
+        for f, old, new in pairs:
+            was, now = getattr(old, f.name), getattr(new, f.name)
+            if was != now:
+                raise ValueError(
+                    f"cannot resume: the checkpoint has {f.name}={setting_text(was)} "
+                    f"but the config has {f.name}={setting_text(now)}"
+                )
+        adam = _adam_state_from_tensors(start.tensors, params.named_tensors())
+        if start.epoch >= tcfg.epochs:
             raise ValueError(
-                f"cannot resume: the checkpoint has {f.name}={setting_text(was)} "
-                f"but the config has {f.name}={setting_text(now)}"
+                f"checkpoint is already at epoch {start.epoch}; nothing to train "
+                f"with epochs={tcfg.epochs}"
             )
-    return params, _adam_state_from_tensors(start.tensors, params.named_tensors())
+    except ValueError as e:
+        raise ResumeError(str(e)) from e
+    return params, adam
 
 
 def scorer_from_checkpoint(
@@ -432,7 +447,7 @@ def _adam_state_from_tensors(
 
 def _minibatches(
     g_train: KnowledgeGraph,
-    positives: list[tuple[int, int, int]],
+    positives: np.ndarray,
     pos_union: SubgraphBatch,
     order: np.ndarray,
     tcfg: TrainConfig,
@@ -441,6 +456,7 @@ def _minibatches(
 ):
     """One epoch's minibatches as (positive indices, labeled union).
 
+    positives is the (P, 3) integer array of the training positives.
     Minibatch i is order[i * batch_size : (i + 1) * batch_size], sorted; its
     union holds each positive, then its neg_per_pos negatives drawn from
     rng_neg.  Whole minibatches are grouped in order until a group holds at
@@ -457,8 +473,7 @@ def _minibatches(
     for at in range(0, len(batches), per_group):
         group = batches[at : at + per_group]
         group_pos = np.concatenate(group)
-        negs = sample_negatives(g_train, [positives[idx] for idx in group_pos.tolist()
-                                          for _ in range(n)], rng_neg)
+        negs = sample_negatives(g_train, positives[np.repeat(group_pos, n)], rng_neg)
         neg_union = extract_union(g_train, negs, tcfg.hops, tcfg.extraction_mode)
         union = join([take_members(pos_union, group_pos),
                       label_nodes(neg_union, tcfg.labeling, aux_ids)])
@@ -499,14 +514,16 @@ def train(
     streams, so the resumed parameter trajectory is bit-identical to an
     uninterrupted run.  Best-checkpoint selection seeds from the start
     checkpoint's own validation metric (when it has one) and the resumed
-    epochs' evaluations.
+    epochs' evaluations.  A start that cannot be resumed raises
+    resume_params' ResumeError before any epoch runs.
     """
     if not g_train.triples:
         raise ValueError("training graph has no triples")
     if not valid_triples:
         raise ValueError("validation set is empty")
-    positives = [trip for trip in g_train.triples if trip[0] != trip[2]]
-    if not positives:
+    positives = np.array([trip for trip in g_train.triples if trip[0] != trip[2]],
+                         dtype=np.int64).reshape(-1, 3)
+    if not len(positives):
         raise ValueError("training graph has no non-self-loop triples to score")
     valid_pos = [trip for trip in valid_triples if trip[0] != trip[2]]
     if not valid_pos:
@@ -536,11 +553,6 @@ def train(
     if start is not None:
         params, adam = resume_params(start, g_train.relation_names, gcfg, tcfg)
         first_epoch = start.epoch + 1
-        if first_epoch > tcfg.epochs:
-            raise ValueError(
-                f"checkpoint is already at epoch {start.epoch}; nothing to train "
-                f"with epochs={tcfg.epochs}"
-            )
     else:
         params = init_params(gcfg, g_train.num_relations, np.random.default_rng([seed, _S_INIT]))
         adam = AdamState()
@@ -553,7 +565,7 @@ def train(
 
     # every positive's subgraph, fixed for the run, as one labeled union
     pos_subs = [extract_enclosing(g_train, h, t, r, tcfg.hops, tcfg.extraction_mode)
-                for h, r, t in positives]
+                for h, r, t in positives.tolist()]
     pos_union = label_nodes(join(pos_subs), tcfg.labeling, aux_ids)
 
     # validation positives/negatives and their subgraphs are fixed for the run

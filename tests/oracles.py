@@ -14,6 +14,8 @@ import grail.autodiff as ad
 from grail.kg import KnowledgeGraph, from_parts
 from grail.subgraph import extract_union, join, label_nodes, take_members
 
+import tape_ops as ops
+
 
 def random_kg(
     rng: np.random.Generator,
@@ -299,29 +301,30 @@ def adam_step_reference(params, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, l2=
 
 def layer_forward_chain(batch, h_prev, layer, params, cfg, dropout_mask=None, snap_alpha=False):
     """grail.model.layer_forward as a chain of 19 autodiff primitives, each
-    with its own tape node: the sums the fused layer must reproduce."""
+    with its own tape node (the generic ones from tape_ops): the sums the
+    fused layer must reproduce."""
     lp = params.layers[layer]
     heads, rels, tails = batch.edges.T
     senders, receivers = (heads, tails) if cfg.aggregate_in_neighbors else (tails, heads)
     h_src = ad.slice_rows(h_prev, senders)
-    msg = ad.basis_matmul(h_src, ad.slice_rows(lp.coeffs, rels), lp.bases)
+    msg = ops.basis_matmul(h_src, ad.slice_rows(lp.coeffs, rels), lp.bases)
     if cfg.attention_enabled:
         h_dst = ad.slice_rows(h_prev, receivers)
         emb = params.attn_rel_emb
         a_in = ad.concat([h_src, h_dst, ad.slice_rows(emb, rels),
                           ad.slice_rows(emb, batch.edge_target_rels)])
-        s = ad.relu(ad.add(ad.matmul(a_in, lp.attn_w1), lp.attn_b1))
-        alpha = ad.sigmoid(ad.add(ad.matmul(s, lp.attn_w2), lp.attn_b2))
+        s = ops.relu(ops.add(ad.matmul(a_in, lp.attn_w1), lp.attn_b1))
+        alpha = ops.sigmoid(ops.add(ad.matmul(s, lp.attn_w2), lp.attn_b2))
         if snap_alpha:
             data = alpha.data.copy()
             data[data < 1e-6] = 0.0
             data[data > 1.0 - 1e-6] = 1.0
             alpha = ad.constant(data)
-        msg = ad.mul(msg, alpha)
+        msg = ops.mul(msg, alpha)
     if dropout_mask is not None:
         mask = np.asarray(dropout_mask, dtype=np.float64)
         if mask.shape != (len(rels),):
             raise ValueError(f"dropout mask shape {mask.shape} != ({len(rels)},)")
         msg = ad.apply_mask(msg, mask.reshape(-1, 1))
     agg = ad.segment_sum(msg, receivers, batch.num_nodes)
-    return ad.relu(ad.add(ad.matmul(h_prev, lp.w_self), agg))
+    return ops.relu(ops.add(ad.matmul(h_prev, lp.w_self), agg))

@@ -33,6 +33,7 @@ from grail.train import (
     train,
 )
 
+import tape_ops as ops
 from oracles import minibatches_reference, random_kg, zero_grads
 
 K = 2
@@ -70,7 +71,7 @@ def test_union_scores_and_gradients_match_each_subgraph_alone():
         union_masks = [np.concatenate(layer) for layer in zip(*masks)]
         scores = score_triplet(join(subs), params, cfg, dropout_masks=union_masks)
         assert scores.shape == (len(subs), 1)
-        ad.sum_all(ad.apply_mask(scores, weights.reshape(-1, 1))).backward()
+        ops.sum_all(ad.apply_mask(scores, weights.reshape(-1, 1))).backward()
         union_grads = [p.grad.copy() for p in named]
 
         zero_grads(named)
@@ -78,7 +79,7 @@ def test_union_scores_and_gradients_match_each_subgraph_alone():
             alone = score_triplet(sub, params, cfg, dropout_masks=m)
             got = scores.data[i, 0]
             assert abs(got - alone.item()) <= 1e-12 * max(1.0, abs(alone.item())), (trial, i)
-            ad.sum_all(ad.apply_mask(alone, weights[i])).backward()  # grads accumulate
+            ops.sum_all(ad.apply_mask(alone, weights[i])).backward()  # grads accumulate
         for p, union_grad in zip(named, union_grads):
             scale = max(1.0, float(np.max(np.abs(p.grad))))
             assert np.max(np.abs(union_grad - p.grad)) <= 1e-10 * scale, trial
@@ -220,7 +221,8 @@ def test_grouped_minibatches_equal_one_extraction_per_minibatch(mode, neg_per_po
     per_group = -(-_GROUP_NEGATIVES // (batch_size * neg_per_pos))
     assert batches > per_group and batches % per_group and len(positives) % batch_size
 
-    got = list(_minibatches(g, positives, pos_union, order, tcfg, np.random.default_rng(2), aux_ids))
+    got = list(_minibatches(g, np.array(positives), pos_union, order, tcfg,
+                            np.random.default_rng(2), aux_ids))
     want = list(minibatches_reference(g, positives, pos_union, order, tcfg,
                                       np.random.default_rng(2), aux_ids))
     assert len(got) == len(want) == batches

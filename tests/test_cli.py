@@ -415,6 +415,46 @@ def test_resume_with_bad_adam_moments_exit_2(workdir, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "o.ck")
 
 
+def test_resume_with_nothing_to_train_exit_2(workdir, tmp_path, capsys):
+    capsys.readouterr()
+    code = main(["train", "--train", os.path.join(workdir["bench"], "train.txt"),
+                 "--valid", os.path.join(workdir["bench"], "valid.txt"),
+                 "--config", workdir["cfg"], "--out", str(tmp_path / "o.ck"),
+                 "--from-checkpoint", workdir["ck"] + ".final"])
+    assert code == 2
+    assert "checkpoint is already at epoch 2; nothing to train with epochs=2" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o.ck")
+
+
+def test_a_resumed_run_reads_its_checkpoint_once_and_an_epoch_error_exits_1(
+        workdir, tmp_path, monkeypatch):
+    train_mod = importlib.import_module("grail.train")
+    resume, calls = train_mod.resume_params, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return resume(*args)
+
+    # the CLI too, should it hold the function under its own name
+    for mod in (train_mod, importlib.import_module("grail.cli")):
+        monkeypatch.setattr(mod, "resume_params", counted, raising=False)
+    cfg = str(tmp_path / "three.cfg")
+    open(cfg, "w").write(FAST_TRAIN.replace("epochs=2", "epochs=3"))
+    args = ["train", "--train", os.path.join(workdir["bench"], "train.txt"),
+            "--valid", os.path.join(workdir["bench"], "valid.txt"), "--config", cfg,
+            "--from-checkpoint", workdir["ck"] + ".final"]
+    assert main(args + ["--out", str(tmp_path / "o.ck")]) == 0
+    assert len(calls) == 1 and calls[0].epoch == 2
+
+    # a ValueError raised by an epoch is a runtime failure, not a configuration error
+    def failing_step(*_, **__):
+        raise ValueError("non-finite gradient for parameter 'readout_w'")
+
+    monkeypatch.setattr(train_mod, "adam_step", failing_step)
+    assert main(args + ["--out", str(tmp_path / "p.ck")]) == 1
+    assert len(calls) == 2 and not os.path.exists(tmp_path / "p.ck")
+
+
 def test_resume_that_no_epoch_improves_writes_the_start_as_best(tmp_path):
     g = random_kg(np.random.default_rng(0), 40, 3, 160)
     for name, trips in (("train", g.triples[:120]), ("valid", g.triples[120:140])):

@@ -89,7 +89,9 @@ def test_sample_negative_contract():
     pos = g.triples[0]
     h, r, t = pos
     for _ in range(200):
-        nh, nr, nt = sample_negative(g, pos, rng)
+        neg = sample_negative(g, pos, rng)
+        assert type(neg) is tuple and all(type(x) is int for x in neg)
+        nh, nr, nt = neg
         assert (nh, nr, nt) != pos
         assert nh != nt
         assert nr == r
@@ -141,7 +143,8 @@ def test_sample_negatives_equal_the_scalar_draws_and_leave_the_same_state(
         want_rng, got_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
         want = [sample_negative_reference(g, p, want_rng) for p in positives]
         got = sample_negatives(g, positives, got_rng)
-        assert got == want and all(type(x) is int for x in got[0])
+        assert got.shape == (len(positives), 3) and got.dtype.kind == "i"
+        assert got.tolist() == [list(neg) for neg in want]
         assert _states_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
         assert got_rng.integers(1 << 40) == want_rng.integers(1 << 40)
         # one positive at a time on one generator, as training's groups and sample_negative call it
@@ -149,14 +152,16 @@ def test_sample_negatives_equal_the_scalar_draws_and_leave_the_same_state(
         assert [sample_negative(g, p, one_rng) for p in positives] == want
     # an array of positives draws what the list draws
     rngs = [np.random.Generator(bit_generator(9)) for _ in range(2)]
-    assert sample_negatives(g, np.array(positives), rngs[0]) == sample_negatives(g, positives, rngs[1])
+    assert np.array_equal(sample_negatives(g, np.array(positives), rngs[0]),
+                          sample_negatives(g, positives, rngs[1]))
 
 
 def test_sample_negatives_of_no_positives_draw_nothing():
     g = from_parts(["a", "b", "c"], ["r"], [(0, 0, 1)])
     rng = np.random.default_rng(41)
     before = rng.bit_generator.state
-    assert sample_negatives(g, [], rng) == []
+    none = sample_negatives(g, [], rng)
+    assert none.shape == (0, 3) and none.dtype.kind == "i"
     assert rng.bit_generator.state == before
 
 
@@ -201,6 +206,16 @@ def test_scorer_matches_relations_by_name():
     s1 = scorer(g1, [(g1.entity_ids["a"], g1.relation_ids["p"], g1.entity_ids["b"])], set())
     s2 = scorer(g2, [(g2.entity_ids["a"], g2.relation_ids["p"], g2.entity_ids["b"])], set())
     assert s1 == s2
+
+
+def test_scorer_scores_an_array_as_it_scores_the_same_rows_as_tuples():
+    g = random_kg(np.random.default_rng(15), 30, 3, 120)
+    scorer = scorer_fixture(g.relation_names)
+    rows = [(h, r, t) for h, r, t in g.triples[:40] if h != t]
+    held = set(rows[:5])
+    msg = without_triples(g, rows[:5])
+    got = scorer(msg, np.array(rows, dtype=np.int64), held)
+    assert got == scorer(msg, rows, held) and all(type(x) is float for x in got)
 
 
 def test_scorer_rejects_unknown_relation():
@@ -436,6 +451,28 @@ def test_evaluate_removes_test_edges_before_scoring():
         assert rec["score"] == float(len(g.triples) - len(test_edges))
 
 
+def test_evaluate_hands_the_scorer_one_candidate_array_in_the_documented_layout():
+    g = load_triples("a\tr\tb\nb\tr\tc\nc\tr\ta\nd\tr\td\na\tr\tc\nc\tr\td\nb\tr\td\n")
+    test_edges = [g.triples[0], (3, 0, 3), g.triples[4], g.triples[6]]  # one self-loop, skipped
+    calls = []
+
+    def scorer(graph, candidates, held_out):
+        calls.append((graph, candidates, held_out))
+        return [0.5] * len(candidates)
+
+    evaluate(scorer, g, test_edges, num_negatives=3, seed=8)
+    [(msg, candidates, held_out)] = calls
+    scoreable = [test_edges[0], test_edges[2], test_edges[3]]
+    assert isinstance(candidates, np.ndarray) and candidates.dtype.kind == "i"
+    assert candidates.shape == (3 * (2 + 3), 3) and held_out == set(test_edges)
+    # per test edge: the positive, its AUC negative, then its rank negatives
+    auc = sample_negatives(msg, scoreable, np.random.default_rng([8, 11]))
+    rank = sample_negatives(msg, np.repeat(scoreable, 3, axis=0), np.random.default_rng([8, 12]))
+    want = [[list(pos), neg, *rank[3 * i : 3 * i + 3].tolist()]
+            for i, (pos, neg) in enumerate(zip(scoreable, auc.tolist()))]
+    assert candidates.tolist() == [row for block in want for row in block]
+
+
 def test_evaluate_perfect_scorer():
     rng = np.random.default_rng(6)
     g = random_kg(rng, 12, 2, 50)
@@ -443,7 +480,7 @@ def test_evaluate_perfect_scorer():
     truth = set(test_edges)
 
     def scorer(graph, candidates, held_out):
-        return [1.0 if cand in truth else 0.0 for cand in candidates]
+        return [1.0 if tuple(cand) in truth else 0.0 for cand in candidates]
 
     report = evaluate(scorer, g, test_edges, num_negatives=20, seed=1)
     assert report.auc_pr == 1.0

@@ -18,6 +18,7 @@ from grail.model import (
 )
 from grail.subgraph import extract_enclosing, feature_dim, join, label_nodes
 
+import tape_ops as ops
 from oracles import attention_weight, dense_gnn_reference, layer_forward_chain, random_kg
 
 
@@ -243,8 +244,8 @@ def _run_layer(fn, batch, h_prev, layer, params, cfg, mask, snap, weights):
         t.zero_grad()
     out = fn(batch, h_prev, layer, params, cfg, dropout_mask=mask, snap_alpha=snap)
     if ad.is_recording():
-        first = ad.sum_all(ad.mul(out, ad.constant(weights[0])))
-        ad.add(first, ad.sum_all(ad.mul(h_prev, ad.constant(weights[1])))).backward()
+        first = ops.sum_all(ops.mul(out, ad.constant(weights[0])))
+        ops.add(first, ops.sum_all(ops.mul(h_prev, ad.constant(weights[1])))).backward()
     return out.data, [t.grad.copy() for t in named + [h_prev]]
 
 
@@ -323,9 +324,7 @@ def test_score_gradients_check_out():
     p = init_params(cfg, 3, rng)
     sub = random_labeled(rng)
     params = list(p.named_tensors().values())
-    from grail.autodiff import sum_all
-
-    err = grad_check(lambda: sum_all(score_triplet(sub, p, cfg)), params,
+    err = grad_check(lambda: ops.sum_all(score_triplet(sub, p, cfg)), params,
                      max_coords_per_param=6, rng=np.random.default_rng(0))
     assert err < 1e-4
 
