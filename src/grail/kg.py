@@ -19,9 +19,10 @@ class KnowledgeGraph:
     Entities and relations are interned to dense integer ids in first-appearance
     order; every downstream module works on ids only.  Construction rejects a
     triple whose ids fall outside the vocabularies and builds the graph's two
-    read-only CSRs (see build_indices).  k-hop sets are memoized per (node, k)
-    on the graph itself (see khop).  The CSRs and the memo are freed with the
-    graph and take no part in equality.
+    read-only CSRs (see build_indices).  k-hop sets and their distances are
+    memoized per (node, k) on the graph itself (see khop): one intp id and,
+    while k < 255, one distance byte per stored node.  The CSRs and the memo
+    are freed with the graph and take no part in equality.
     """
 
     entity_names: list[str]
@@ -62,9 +63,10 @@ class KnowledgeGraph:
     def num_relations(self) -> int:
         return len(self.relation_names)
 
-    def khop(self, nodes, k: int) -> list[np.ndarray]:
-        """khop_nodes(self, nodes, k), searching only the nodes whose (node, k)
-        is not memoized yet, in one call, and memoizing what it finds."""
+    def khop(self, nodes, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """khop_nodes(self, nodes, k): each node's (found, dist) pair,
+        searching only the nodes whose (node, k) is not memoized yet, in one
+        call, and memoizing what it finds."""
         memo = self._khop
         todo = [x for x in dict.fromkeys(nodes) if (x, k) not in memo]
         if todo:
@@ -220,17 +222,20 @@ def out_neighbors(g: KnowledgeGraph, node: int, rel: int) -> list[int]:
     return g.out_tails[first:last].tolist()
 
 
-# (source, entity) pairs one k-hop search holds at most: two bytes each in its masks
+# (source, entity) pairs one k-hop search holds at most: two bytes each in its arrays
 SEARCH_PAIRS = 1 << 18
 
 
-def khop_nodes(g: KnowledgeGraph, nodes, k: int) -> list[np.ndarray]:
-    """For each of nodes, the sorted, read-only intp array of the nodes within
-    undirected distance k of it, itself included.  The sources are searched
-    in consecutive chunks of at most SEARCH_PAIRS // num_entities (at least
-    one), each chunk together, so transient memory is bounded by the chunk,
-    not by the call: two bytes per source and entity, plus the neighbours
-    one level gathers."""
+def khop_nodes(g: KnowledgeGraph, nodes, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each of nodes, the pair (found, dist): the sorted, read-only intp
+    array of the nodes within undirected distance k of it, itself included,
+    and the aligned read-only array of their distances from it, in the
+    smallest unsigned dtype that holds k + 1 (one byte while k < 255).  The
+    sources are searched in consecutive chunks of at most
+    SEARCH_PAIRS // num_entities (at least one), each chunk together, so
+    transient memory is bounded by the chunk, not by the call: two bytes per
+    source and entity (while k < 255), plus the neighbours one level
+    gathers."""
     nodes = np.asarray(nodes, dtype=np.intp)
     n = g.num_entities
     bad = (nodes < 0) | (nodes >= n)
@@ -243,23 +248,25 @@ def khop_nodes(g: KnowledgeGraph, nodes, k: int) -> list[np.ndarray]:
             for found in _search(g, nodes[lo:lo + step], k)]
 
 
-def _search(g: KnowledgeGraph, nodes: np.ndarray, k: int) -> list[np.ndarray]:
+def _search(g: KnowledgeGraph, nodes: np.ndarray, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """khop_nodes of all of nodes at once, level by level over the undirected
-    CSR, on masks of (source, node) pairs."""
+    CSR, on an array of the levels of (source, node) pairs."""
     n = g.num_entities
-    seen = np.zeros(len(nodes) * n, dtype=bool)  # pair (s, x) at s * n + x
+    # pair (s, x) at s * n + x; k + 1 until reached, so the dtype must hold k + 1
+    level = np.full(len(nodes) * n, k + 1, dtype=np.min_scalar_type(k + 1))
     frontier = np.arange(len(nodes)) * n + nodes
-    seen[frontier] = True
-    for _ in range(k):
+    level[frontier] = 0
+    for depth in range(1, k + 1):
         at = frontier % n
         first = g.und_indptr[at]
         degree = g.und_indptr[at + 1] - first
-        reached = np.zeros_like(seen)
+        reached = np.zeros(len(level), dtype=bool)
         reached[np.repeat(frontier - at, degree) + g.und_nbrs[_ranges(first, degree)]] = True
-        frontier = np.flatnonzero(reached & ~seen)
-        seen[frontier] = True
-    keys = np.flatnonzero(seen)
-    found = keys % n
-    found.flags.writeable = False
-    ends = np.cumsum(np.bincount(keys // n, minlength=len(nodes)))
-    return np.split(found, ends[:-1])[: len(nodes)]  # no sources, no arrays
+        frontier = np.flatnonzero(reached & (level > k))
+        level[frontier] = depth
+    keys = np.flatnonzero(level <= k)
+    found, dist = keys % n, level[keys]
+    found.flags.writeable = dist.flags.writeable = False
+    ends = np.cumsum(np.bincount(keys // n, minlength=len(nodes)))[:-1]
+    # no sources, no pairs
+    return list(zip(np.split(found, ends), np.split(dist, ends)))[: len(nodes)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -105,15 +106,20 @@ def extract_union(
 
     Member i is candidate i's subgraph as extract_enclosing describes it,
     and all members are built together in array passes: g.khop finds the
-    k-hop sets of all u's in one call and of all v's in a second, one sort
-    of their (member, node) keys gives every member's node set, the
-    out-edges of every member's nodes are gathered from g's out-CSR and kept
-    where the tail is in the same member, one sort puts them in canonical
-    (local head, relation, local tail) order, each side runs one
-    level-synchronous search over all members for at most k levels (a
-    node not reached by then would read k + 1 anyway, and would be pruned
-    in enclosing mode), the pruning is one mask, and each candidate edge
-    that is not induced is appended after its member's edges.
+    k-hop sets and distances of all u's in one call and of all v's in a
+    second.  In enclosing mode a member's node set is first cut to the
+    nodes whose unblocked distances have d_u + d_v <= k + 1, found by one
+    search of every member's (endpoint, node) keys (see _close_keys); the
+    others would be pruned anyway, and no kept node's blocked shortest path
+    runs through them.  In full_khop mode one sort of the (member, node)
+    keys joins the two sets.  The out-edges of every member's nodes are
+    gathered from g's out-CSR and kept where the tail is in the same
+    member, one sort puts them in canonical (local head, relation, local
+    tail) order, each side runs one level-synchronous search over all
+    members for at most k levels (a node not reached by then would read
+    k + 1 anyway, and would be pruned in enclosing mode), the pruning is
+    one mask, and each candidate edge that is not induced is appended after
+    its member's edges.
     """
     cands = _candidate_array(g, candidates, k, mode)
     us, _, vs = cands.T
@@ -123,21 +129,24 @@ def extract_union(
 def _union(
     g: KnowledgeGraph,
     cands: np.ndarray,
-    near_u: list[np.ndarray],
-    near_v: list[np.ndarray],
+    near_u: list[tuple[np.ndarray, np.ndarray]],
+    near_v: list[tuple[np.ndarray, np.ndarray]],
     k: int,
     mode: str,
 ) -> SubgraphBatch:
-    """extract_union of the checked (C, 3) candidates, given the k-hop sets
-    g.khop finds for their u's and v's."""
+    """extract_union of the checked (C, 3) candidates, given the (k-hop set,
+    distances) pairs g.khop finds for their u's and v's."""
     us, rts, vs = cands.T
-    # one sort of the (member, node) keys near each u and each v (every sort
-    # here is stable, the sort code auc_pr loads anyway): a key near both is a pair
     n = g.num_entities
-    near = near_u + near_v
-    keys = np.repeat(np.tile(np.arange(len(us)) * n, 2), list(map(len, near)))
-    keys = np.sort(keys + np.concatenate(near), kind="stable")
-    keys = keys[_firsts(keys)] if mode == "full_khop" else keys[1:][keys[1:] == keys[:-1]]
+    if mode == "enclosing":
+        keys = _close_keys(n, us, vs, near_u, near_v, k)
+    else:
+        # one sort of the (member, node) keys near each u and each v (every
+        # sort here is stable, the sort code auc_pr loads anyway)
+        near = near_u + near_v
+        keys = np.repeat(np.tile(np.arange(len(us)) * n, 2), _sizes(near))
+        keys = np.sort(keys + np.concatenate([found for found, _ in near]), kind="stable")
+        keys = keys[_firsts(keys)]
     rest_member, rest = np.divmod(keys, n)
     others = (rest != us[rest_member]) & (rest != vs[rest_member])
     rest_member, rest = rest_member[others], rest[others]
@@ -217,6 +226,56 @@ def _union(
     )
 
 
+def _close_keys(
+    n: int,
+    us: np.ndarray,
+    vs: np.ndarray,
+    near_u: list[tuple[np.ndarray, np.ndarray]],
+    near_v: list[tuple[np.ndarray, np.ndarray]],
+    k: int,
+) -> np.ndarray:
+    """The ascending (member, node) keys member * n + x of the nodes x of
+    each member's k-hop intersection whose unblocked d_u + d_v <= k + 1.
+
+    Every such x has min(d_u, d_v) <= (k + 1) // 2, the inner radius, so
+    looking up u's inner ball in v's set and v's inner ball in u's set
+    finds all of them; a node in both inner balls is taken from u's side.
+    Each distinct endpoint's set is laid out once, under (endpoint, node)
+    keys, and one search answers every member's lookups.
+    """
+    ends = np.concatenate([us, vs])
+    order = np.argsort(ends, kind="stable")
+    firsts = order[_firsts(ends[order])]  # where each distinct endpoint is first, ascending
+    near = near_u + near_v
+    sets = [near[i] for i in firsts.tolist()]
+    distinct = ends[firsts]
+    sizes = _sizes(sets)
+    found = np.concatenate([found for found, _ in sets])
+    # intp, as d_u + d_v of two one-byte levels would wrap once k passes 127
+    dist = np.concatenate([dist for _, dist in sets]).astype(np.intp)
+    keys = np.append(np.repeat(distinct * n, sizes) + found, -1)  # -1: past the last key
+    radius = (k + 1) // 2
+    inner = np.flatnonzero(dist <= radius)
+    inner_sizes = np.bincount(np.repeat(np.arange(len(sets)), sizes)[inner], minlength=len(sets))
+    # member i looks up its u's inner ball in its v's set, then its v's in its u's
+    slot = np.searchsorted(distinct, ends)
+    counts = inner_sizes[slot]
+    asked = inner[_ranges(_starts(inner_sizes)[slot], counts)]
+    query = np.repeat(np.concatenate([vs, us]) * n, counts) + found[asked]
+    at = np.searchsorted(keys[:-1], query)
+    near_d, far_d = dist[asked], np.append(dist, 0)[at]
+    keep = (keys[at] == query) & (near_d + far_d <= k + 1)
+    v_side = int(counts[:len(us)].sum())
+    keep[v_side:] &= far_d[v_side:] > radius
+    member = np.repeat(np.tile(np.arange(len(us)), 2), counts)
+    return np.sort(member[keep] * n + found[asked[keep]], kind="stable")
+
+
+def _sizes(near: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The size of each k-hop set of near, as an intp array."""
+    return np.fromiter(map(len, map(itemgetter(0), near)), np.intp, len(near))
+
+
 def _candidate_array(g: KnowledgeGraph, candidates, k: int, mode: str) -> np.ndarray:
     """candidates (u, r_t, v) as a (C, 3) intp array.  Raises ValueError for
     the first bad candidate, as its own extraction would, then for a bad k,
@@ -256,9 +315,9 @@ def node_bounds(
     return _bounds(g.khop(us.tolist(), k), g.khop(vs.tolist(), k), mode)
 
 
-def _bounds(near_u: list[np.ndarray], near_v: list[np.ndarray], mode: str) -> np.ndarray:
-    size_u = np.fromiter(map(len, near_u), np.intp, len(near_u))
-    size_v = np.fromiter(map(len, near_v), np.intp, len(near_v))
+def _bounds(near_u: list[tuple[np.ndarray, np.ndarray]], near_v: list[tuple[np.ndarray, np.ndarray]],
+            mode: str) -> np.ndarray:
+    size_u, size_v = _sizes(near_u), _sizes(near_v)
     return np.minimum(size_u, size_v) + 2 if mode == "enclosing" else size_u + size_v
 
 

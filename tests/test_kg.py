@@ -19,7 +19,7 @@ from grail.kg import (
     without_triples,
 )
 
-from oracles import graphs_equal, khop_set_oracle, random_kg
+from oracles import graphs_equal, khop_set_oracle, random_kg, undirected_dist_matrix
 
 TOY = "a\tr1\tb\nb\tr2\tc\na\tr1\tc\n"
 
@@ -146,13 +146,50 @@ def test_khop_matches_distance_oracle():
         k = int(rng.integers(1, 4))
         found = khop_nodes(g, sources, k)
         assert len(found) == len(sources)
-        for u, nodes in zip(sources, found):
+        for u, (nodes, _) in zip(sources, found):
             assert nodes.dtype == np.intp and list(nodes) == sorted(khop_set_oracle(g, u, k))
+
+
+def test_khop_distances_match_the_distance_matrix(monkeypatch):
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        g = random_kg(rng, num_entities=int(rng.integers(2, 14)),
+                      num_relations=int(rng.integers(1, 4)),
+                      num_edges=int(rng.integers(1, 30)), allow_self_loops=True)
+        d = undirected_dist_matrix(g.num_entities, g.triples)
+        # every node, then a repeated source
+        sources = list(range(g.num_entities)) + [int(rng.integers(g.num_entities))]
+        # every other graph is searched three sources at a time
+        pairs = 3 * g.num_entities if trial % 2 else grail.kg.SEARCH_PAIRS
+        monkeypatch.setattr(grail.kg, "SEARCH_PAIRS", pairs)
+        for k in (1, 2, 3):
+            found = khop_nodes(g, sources, k)
+            assert len(found) == len(sources)
+            for x, (nodes, dist) in zip(sources, found):
+                assert dist.dtype == np.uint8 and dist.shape == nodes.shape
+                assert nodes.tolist() == np.flatnonzero(d[x] <= k).tolist()
+                assert dist.tolist() == d[x, nodes].astype(int).tolist()
+        monkeypatch.undo()
+
+
+def test_khop_levels_past_one_signed_byte():
+    # a path 0 - 1 - ... - 199: levels up to 130 pass the 127 of a signed byte
+    g = from_parts([f"n{i}" for i in range(200)], ["r"], [(i, 0, i + 1) for i in range(199)])
+    [(nodes, dist)] = khop_nodes(g, [0], 130)
+    assert nodes.tolist() == list(range(131)) and dist.tolist() == list(range(131))
+    assert dist.dtype == np.uint8
+    [(nodes, dist)] = khop_nodes(g, [150], 130)
+    assert nodes.tolist() == list(range(20, 200))
+    assert dist.tolist() == [abs(x - 150) for x in range(20, 200)]
+    # k + 1 past one unsigned byte widens the levels
+    [(nodes, dist), (_, back)] = khop_nodes(g, [0, 199], 255)
+    assert dist.dtype == back.dtype == np.uint16 and nodes.tolist() == list(range(200))
+    assert dist.tolist() == list(range(200)) and back.tolist() == list(range(199, -1, -1))
 
 
 def test_khop_ignores_direction():
     g = load_triples("a\tr\tb\nc\tr\tb\n")
-    assert khop_nodes(g, [g.entity_ids["a"]], 2)[0].tolist() == [0, 1, 2]
+    assert khop_nodes(g, [g.entity_ids["a"]], 2)[0][0].tolist() == [0, 1, 2]
 
 
 def test_khop_memo_matches_distance_oracle():
@@ -161,12 +198,14 @@ def test_khop_memo_matches_distance_oracle():
         g = random_kg(rng, num_entities=int(rng.integers(2, 14)),
                       num_relations=int(rng.integers(1, 4)),
                       num_edges=int(rng.integers(1, 30)), allow_self_loops=True)
+        d = undirected_dist_matrix(g.num_entities, g.triples)
         for k in (1, 2, 3):
             # a node may be asked for twice in one call
             nodes = list(range(g.num_entities)) + [0]
-            for x, found in zip(nodes, g.khop(nodes, k)):
+            for x, (found, dist) in zip(nodes, g.khop(nodes, k)):
                 assert isinstance(found, np.ndarray) and found.dtype == np.intp
                 assert found.tolist() == sorted(khop_set_oracle(g, x, k))
+                assert dist.tolist() == d[x, found].astype(int).tolist()
 
 
 def _counting_khop_nodes(monkeypatch) -> list:
@@ -217,7 +256,8 @@ def test_khop_searches_in_chunks_of_the_pair_budget(monkeypatch):
     searched.clear()
     got = g.khop(nodes, 3)
     for a, b in zip(got, whole, strict=True):
-        assert a.dtype == b.dtype and not a.flags.writeable and np.array_equal(a, b)
+        for x, y in zip(a, b, strict=True):
+            assert x.dtype == y.dtype and not x.flags.writeable and np.array_equal(x, y)
     # each node not memoized yet, once, in order, seven at a time
     todo = [x for x in dict.fromkeys(nodes) if x not in nodes[:6]]
     assert [x for chunk in searched for x in chunk] == todo
@@ -225,20 +265,21 @@ def test_khop_searches_in_chunks_of_the_pair_budget(monkeypatch):
     # a budget below one entity row still searches one source at a time
     monkeypatch.setattr(grail.kg, "SEARCH_PAIRS", 1)
     searched.clear()
-    assert all(np.array_equal(a, b) for a, b in zip(khop_nodes(g, nodes[:3], 3), whole))
+    assert all(np.array_equal(x, y) for a, b in zip(khop_nodes(g, nodes[:3], 3), whole)
+               for x, y in zip(a, b, strict=True))
     assert searched == [[x] for x in nodes[:3]]
 
 
 def test_khop_memo_does_not_cross_graphs(monkeypatch):
     g = load_triples("a\tr\tb\nb\tr\tc\n")
     a = g.entity_ids["a"]
-    assert g.khop([a], 2)[0].tolist() == [0, 1, 2]
+    assert g.khop([a], 2)[0][0].tolist() == [0, 1, 2]
     runs = _counting_khop_nodes(monkeypatch)
     g2 = without_triples(g, [(1, 0, 2)])
     assert g2._khop == {}
-    assert g2.khop([a], 2)[0].tolist() == [0, 1]  # searched again on the smaller graph
+    assert g2.khop([a], 2)[0][0].tolist() == [0, 1]  # searched again on the smaller graph
     assert runs == [([a], 2)]
-    assert g.khop([a], 2)[0].tolist() == [0, 1, 2]
+    assert g.khop([a], 2)[0][0].tolist() == [0, 1, 2]
 
 
 def test_khop_memo_takes_no_part_in_equality():
@@ -295,7 +336,8 @@ def test_indices_cover_all_triples():
 
 def test_graph_arrays_are_read_only():
     g = load_triples(TOY)
-    found = g.khop([0, 1], 2) + khop_nodes(g, [2], 1)
+    found = [a for pair in g.khop([0, 1], 2) + khop_nodes(g, [2], 1) for a in pair]
+    assert len(found) == 6
     for a in (g.out_indptr, g.out_rels, g.out_tails, g.und_indptr, g.und_nbrs, *found):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):

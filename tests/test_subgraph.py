@@ -28,6 +28,7 @@ from oracles import (
     induced_edges_oracle,
     khop_set_oracle,
     random_kg,
+    undirected_dist_matrix,
 )
 
 CHAIN = "u\tr\tm1\nm1\tr\tm2\nm2\tr\tv\nu\ts\tv\nx\tr\tu\nv\tr\ty\n"
@@ -247,6 +248,48 @@ def test_one_pruning_pass_reaches_the_fixed_point():
     assert pruned > 100  # the pass did drop nodes, so the filter was exercised
 
 
+def test_deep_extraction_matches_the_oracles():
+    # k = 4-6 puts the inner radius (k + 1) // 2 of the distance filter at 2
+    # and 3; sparse graphs keep nodes in the k-hop intersection that it drops
+    rng = np.random.default_rng(44)
+    dropped = 0
+    for trial in range(45):
+        n = int(rng.integers(4, 18))
+        g = random_kg(rng, n, int(rng.integers(1, 4)), int(rng.integers(n - 1, 2 * n)),
+                      allow_self_loops=True)
+        d = undirected_dist_matrix(n, g.triples)
+        k = 4 + trial % 3
+        candidates = _random_candidates(rng, g, 4)
+        u, r, v = candidates[1]
+        candidates += [candidates[0], (v, r, u)]  # a repeat, and the ends swapped
+        union = extract_union(g, candidates, k)
+        for i, (u, r, v) in enumerate(candidates):
+            sub = extract_enclosing(g, u, v, r, k)
+            _assert_same_union(take_members(union, [i]), sub)
+            assert set(sub.nodes) == enclosing_set_oracle(g, u, v, k), (trial, i)
+            du, dv = double_radius_oracle(g, sub.nodes.tolist(), k, u, v)
+            assert (sub.dist_u.tolist(), sub.dist_v.tolist()) == (du, dv)
+            want = induced_edges_oracle(g, sub.nodes.tolist())
+            if target(sub) not in want:
+                want.append(target(sub))
+            assert [tuple(e) for e in sub.edges.tolist()] == want
+            ball = khop_set_oracle(g, u, k) & khop_set_oracle(g, v, k)
+            dropped += sum(d[u, x] + d[v, x] > k + 1 for x in ball)
+    assert dropped > 50  # the distance filter did drop nodes of the intersection
+
+
+def test_extraction_reads_levels_past_one_signed_byte():
+    # a path 0 - 1 - ... - 199: at k = 130 the k-hop levels pass 127, and
+    # nodes past the end of the (3, 1) candidate have d_u + d_v past 255
+    g = from_parts([f"n{i}" for i in range(200)], ["r"], [(i, 0, i + 1) for i in range(199)])
+    for u, v in ((0, 131), (3, 1), (150, 20)):
+        sub = extract_enclosing(g, u, v, 0, 130)
+        lo, hi = sorted((u, v))
+        assert sub.nodes.tolist() == [u, v, *range(lo + 1, hi)]
+        assert sub.dist_u.tolist() == [0, 1] + [abs(x - u) for x in range(lo + 1, hi)]
+        assert sub.dist_v.tolist() == [1, 0] + [abs(x - v) for x in range(lo + 1, hi)]
+
+
 # _extraction_digest(250) of the reference extraction (iterative pruning until
 # nothing is pruned); any change to a subgraph, a distance or a feature moves it
 GOLDEN_EXTRACTION_SHA256 = "402e9c3f9d0a5be077f8f30d1a0959f1a9d8c1955799b262f559a72dfd960eb1"
@@ -373,8 +416,9 @@ def test_unions_own_their_node_and_edge_arrays():
     for mode in EXTRACTION_MODES:
         union = extract_union(g, [(0, 0, 1), (0, 1, 3), (2, 0, 0)], 2, mode)
         shared = [g.out_indptr, g.out_rels, g.out_tails, g.und_indptr, g.und_nbrs,
-                  *g._khop.values()]
-        for a in (union.nodes, union.edges):
+                  *(a for found_dist in g._khop.values() for a in found_dist)]
+        assert len(shared) == 5 + 2 * len(g._khop)  # each memo entry: its nodes and distances
+        for a in (union.nodes, union.edges, union.dist_u, union.dist_v):
             assert a.flags.writeable
             assert not any(np.shares_memory(a, b) for b in shared)
         union.edges[:, 1] = 0
